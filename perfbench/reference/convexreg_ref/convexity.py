@@ -1,0 +1,350 @@
+"""Numerical certification (and refutation) of convexity claims.
+
+Every check is empirical: a pass means "no violation found among the
+samples tested", never a proof.  A failure always carries a concrete
+witness at which the violated inequality can be re-evaluated
+independently.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any
+
+import numpy as np
+
+from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _composed_loss
+from .transforms import InvalidGridError, Transform, UnsupportedTransformError
+
+_MAX_HESSIAN_DIM = 50
+
+MIDPOINT_TOL = 1e-9
+MONOTONICITY_TOL = 1e-9
+HESSIAN_TOL = 1e-5
+HESSIAN_STEP = 1e-5
+
+
+class DimensionTooLargeError(ValueError):
+    """The dense finite-difference Hessian is limited to 50 dimensions."""
+
+
+@dataclass(frozen=True, eq=False)
+class ConvexityReport:
+    """Result of one convexity check.
+
+    ``worst_violation`` is the most negative slack observed (normalized by
+    the check's own scale); the check passes iff it is >= -tol.  ``witness``
+    is the input tuple achieving it.
+    """
+
+    check_name: str
+    passed: bool
+    worst_violation: float
+    witness: Any
+    samples_tested: int
+
+    def describe(self) -> str:
+        if self.passed:
+            return (
+                f"{self.check_name}: no violation found among "
+                f"{self.samples_tested} samples (worst slack {self.worst_violation:.3g})"
+            )
+        return (
+            f"{self.check_name}: violated by {-self.worst_violation:.3g} "
+            f"at witness {self.witness!r}"
+        )
+
+    def to_dict(self) -> dict:
+        return {
+            "check_name": self.check_name,
+            "passed": bool(self.passed),
+            "worst_violation": float(self.worst_violation),
+            "witness": _jsonable(self.witness),
+            "samples_tested": int(self.samples_tested),
+            "summary": self.describe(),
+        }
+
+
+def _jsonable(value):
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value]
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    return value
+
+
+def graded_grid(half_width: float, n_points: int) -> np.ndarray:
+    """Sign-symmetric grid on [-half_width, half_width], dense near zero.
+
+    Log-spaced magnitudes (8 decades) plus the origin, mirrored to negative
+    values, so behavior around the kink at z = 0 is probed closely.
+    ``n_points`` must be odd and >= 3.
+    """
+    if not half_width > 0.0:
+        raise ValueError("half_width must be positive")
+    if n_points < 3 or n_points % 2 == 0:
+        raise ValueError("n_points must be an odd integer >= 3")
+    half = (n_points - 1) // 2
+    magnitudes = np.geomspace(half_width * 1e-8, half_width, half)
+    return np.concatenate([-magnitudes[::-1], [0.0], magnitudes])
+
+
+def midpoint_convexity_check(
+    transform: Transform,
+    y: float,
+    z_range: tuple[float, float],
+    n_samples: int,
+    tol: float = MIDPOINT_TOL,
+    seed: int = 0,
+    check_name: str = "midpoint_convexity",
+) -> ConvexityReport:
+    """Sample the chord inequality ``l(mid) <= lam*l(z1) + (1-lam)*l(z2)``.
+
+    Draws ``n_samples`` i.i.d. triples (z1, z2, lam) with z1, z2 uniform on
+    ``z_range`` and lam uniform on [0, 1].  Slack is normalized by
+    ``1 + max loss in the triple`` so ``tol`` is a dimensionless allowance
+    for rounding.
+    """
+    lo, hi = float(z_range[0]), float(z_range[1])
+    if not lo < hi:
+        raise ValueError("z_range must be a nondegenerate (low, high) pair")
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+    rng = np.random.default_rng(seed)
+    z1 = rng.uniform(lo, hi, n_samples)
+    z2 = rng.uniform(lo, hi, n_samples)
+    lam = rng.uniform(0.0, 1.0, n_samples)
+
+    l1 = loss_z(transform, z1, y)
+    l2 = loss_z(transform, z2, y)
+    lmid = loss_z(transform, lam * z1 + (1.0 - lam) * z2, y)
+    scale = 1.0 + np.maximum(np.maximum(l1, l2), lmid)
+    slack = (lam * l1 + (1.0 - lam) * l2 - lmid) / scale
+
+    idx = int(np.argmin(slack))
+    worst = float(slack[idx])
+    return ConvexityReport(
+        check_name=check_name,
+        passed=worst >= -tol,
+        worst_violation=worst,
+        witness=(float(z1[idx]), float(z2[idx]), float(lam[idx])),
+        samples_tested=n_samples,
+    )
+
+
+def derivative_monotonicity_check(
+    transform: Transform,
+    y: float,
+    z_grid,
+    tol: float = MONOTONICITY_TOL,
+    check_name: str = "derivative_monotonicity",
+) -> ConvexityReport:
+    """Check that the loss derivative in z never decreases along a grid.
+
+    A nondecreasing derivative of a continuously differentiable function
+    is equivalent to convexity, so the most negative successive difference
+    of ``dloss_dz`` over the grid is the reported slack.
+    """
+    grid = np.asarray(z_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 2:
+        raise InvalidGridError("z_grid must contain at least two points")
+    if np.any(np.diff(grid) <= 0.0):
+        raise InvalidGridError("z_grid must be sorted strictly ascending")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+    values = dloss_dz(transform, grid, y)
+    diffs = np.diff(values)
+    idx = int(np.argmin(diffs))
+    worst = float(diffs[idx])
+    return ConvexityReport(
+        check_name=check_name,
+        passed=worst >= -tol,
+        worst_violation=worst,
+        witness=(float(grid[idx]), float(grid[idx + 1])),
+        samples_tested=grid.size - 1,
+    )
+
+
+def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    features, targets = dataset.features, dataset.targets
+
+    def value(point):
+        return _composed_loss(features, targets, transform, point)
+
+    d = w.size
+    hessian = np.empty((d, d))
+    base = value(w)
+    for i in range(d):
+        e_i = np.zeros(d)
+        e_i[i] = steps[i]
+        hessian[i, i] = (value(w + e_i) - 2.0 * base + value(w - e_i)) / (steps[i] * steps[i])
+        for j in range(i + 1, d):
+            e_j = np.zeros(d)
+            e_j[j] = steps[j]
+            cross = (
+                value(w + e_i + e_j)
+                - value(w + e_i - e_j)
+                - value(w - e_i + e_j)
+                + value(w - e_i - e_j)
+            ) / (4.0 * steps[i] * steps[j])
+            hessian[i, j] = cross
+            hessian[j, i] = cross
+    return hessian
+
+
+def fd_hessian_psd_check(
+    dataset: Dataset,
+    transform: Transform,
+    w,
+    fd_step: float = HESSIAN_STEP,
+    tol: float = HESSIAN_TOL,
+    check_name: str = "fd_hessian_psd",
+) -> ConvexityReport:
+    """Finite-difference Hessian of the total loss at w, tested for PSD.
+
+    Central differences with per-coordinate step ``fd_step * (1 + |w_i|)``
+    build the full symmetric matrix; it is symmetrized as (H + H^T)/2 and
+    its minimum eigenvalue, normalized by ``1 + max |H entry|``, is the
+    reported slack.  The witness pairs w with the offending eigenvector.
+    Dense eigensolve, so the dimension is capped at 50.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size != dataset.n_features:
+        raise DimensionMismatchError(
+            f"w has {w.size} entries but the dataset has {dataset.n_features} features"
+        )
+    if dataset.n_features > _MAX_HESSIAN_DIM:
+        raise DimensionTooLargeError(
+            f"finite-difference Hessian limited to {_MAX_HESSIAN_DIM} dimensions, "
+            f"got {dataset.n_features}"
+        )
+    if not fd_step > 0.0:
+        raise ValueError("fd_step must be positive")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+    steps = fd_step * (1.0 + np.abs(w))
+    hessian = _fd_hessian(dataset, transform, w, steps)
+    symmetric = 0.5 * (hessian + hessian.T)
+    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+    scale = 1.0 + float(np.abs(hessian).max())
+    worst = float(eigenvalues[0]) / scale
+    return ConvexityReport(
+        check_name=check_name,
+        passed=worst >= -tol,
+        worst_violation=worst,
+        witness=(w.copy(), eigenvectors[:, 0].copy()),
+        samples_tested=w.size * w.size,
+    )
+
+
+def find_nonconvex_witness(transform: Transform, z_grid, y_grid):
+    """Grid-search the pointwise curvature for a negative value.
+
+    Returns the (z, y, value) minimizing :func:`psd_condition_value` when
+    that minimum is negative, else None.  Requires a transform with a
+    second derivative.
+    """
+    z_grid = np.asarray(z_grid, dtype=float)
+    y_grid = np.asarray(y_grid, dtype=float)
+    if z_grid.ndim != 1 or z_grid.size == 0 or y_grid.ndim != 1 or y_grid.size == 0:
+        raise InvalidGridError("z_grid and y_grid must be nonempty 1-D sequences")
+    if np.any(np.diff(z_grid) < 0.0) or np.any(np.diff(y_grid) < 0.0):
+        raise InvalidGridError("grids must be sorted ascending")
+
+    z_mesh, y_mesh = np.meshgrid(z_grid, y_grid, indexing="ij")
+    values = psd_condition_value(transform, z_mesh, y_mesh)
+    flat_idx = int(np.argmin(values))
+    i, j = np.unravel_index(flat_idx, values.shape)
+    minimum = float(values[i, j])
+    if minimum >= 0.0:
+        return None
+    return (float(z_grid[i]), float(y_grid[j]), minimum)
+
+
+def verification_battery(
+    transform: Transform,
+    y_bound: float,
+    n_samples: int = 10000,
+    seed: int = 0,
+) -> list[ConvexityReport]:
+    """The full check suite run by the command-line ``verify``.
+
+    Midpoint and derivative-monotonicity checks at five target values
+    spanning [-y_bound, y_bound], a finite-difference Hessian check on a
+    small synthetic dataset at three random weight vectors, and (when the
+    transform has a second derivative) a grid search for a pointwise
+    curvature counterexample.  Deterministic for a given seed.
+    """
+    if not y_bound > 0.0:
+        raise ValueError("y_bound must be positive")
+    reports: list[ConvexityReport] = []
+    y_values = [-y_bound, -0.5 * y_bound, 0.0, 0.5 * y_bound, y_bound]
+
+    for offset, y in enumerate(y_values):
+        reports.append(
+            midpoint_convexity_check(
+                transform,
+                y,
+                z_range=(-100.0, 100.0),
+                n_samples=n_samples,
+                seed=seed + offset,
+                check_name=f"midpoint_convexity(y={y:g})",
+            )
+        )
+    grid = graded_grid(50.0, 2001)
+    for y in y_values:
+        reports.append(
+            derivative_monotonicity_check(
+                transform, y, grid, check_name=f"derivative_monotonicity(y={y:g})"
+            )
+        )
+
+    rng = np.random.default_rng(seed)
+    features = rng.uniform(-1.0, 1.0, (30, 3))
+    targets = rng.uniform(-y_bound, y_bound, 30)
+    dataset = Dataset(features, targets)
+    for draw in range(3):
+        w = rng.uniform(-1.0, 1.0, 3)
+        reports.append(
+            fd_hessian_psd_check(dataset, transform, w, check_name=f"fd_hessian_psd(w_draw={draw})")
+        )
+
+    try:
+        witness = find_nonconvex_witness(
+            transform,
+            np.linspace(-3.0, 3.0, 61),
+            np.linspace(-y_bound, y_bound, 21),
+        )
+    except UnsupportedTransformError:
+        pass  # no second derivative: the search does not apply
+    else:
+        if witness is None:
+            reports.append(
+                ConvexityReport(
+                    check_name="nonconvex_witness_search",
+                    passed=True,
+                    worst_violation=0.0,
+                    witness=None,
+                    samples_tested=61 * 21,
+                )
+            )
+        else:
+            reports.append(
+                ConvexityReport(
+                    check_name="nonconvex_witness_search",
+                    passed=False,
+                    worst_violation=witness[2],
+                    witness=(witness[0], witness[1]),
+                    samples_tested=61 * 21,
+                )
+            )
+    return reports

@@ -1,0 +1,235 @@
+"""Dataset ingestion, synthetic generation, and target-bound estimation."""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .loss import Dataset
+from .transforms import Transform
+
+
+class CsvParseError(ValueError):
+    """Structurally malformed CSV (ragged rows, empty file, ...)."""
+
+
+class MissingTargetColumnError(ValueError):
+    """The requested target column does not exist."""
+
+
+class NonNumericCellError(ValueError):
+    """A cell that should hold a finite number does not."""
+
+    def __init__(self, line: int, column: int, cell: str, reason: str = "is not a number"):
+        self.line = int(line)
+        self.column = int(column)
+        super().__init__(f"line {line}, column {column}: cell {cell!r} {reason}")
+
+
+@dataclass(frozen=True)
+class DatasetSpec:
+    """How to read a CSV file into a :class:`Dataset`.
+
+    ``target_column`` is a header name or 0-based index; by default the
+    last column holds the targets.  When ``add_bias`` is set a constant
+    1.0 column is appended to the features; when ``standardize`` is set
+    every non-bias feature column is shifted/scaled to mean 0, variance 1.
+    """
+
+    path: str | Path
+    target_column: str | int | None = None
+    has_header: bool = True
+    add_bias: bool = True
+    standardize: bool = False
+
+
+@dataclass(frozen=True)
+class SynthSpec:
+    """Synthetic data: ``y = g(w* . x + noise)`` with x uniform on [-1, 1].
+
+    Noise is injected before the transform, so targets always stay inside
+    the transform's range.  ``true_weights`` defaults to a seeded uniform
+    draw on [-1, 1].
+    """
+
+    n_samples: int
+    n_features: int
+    transform: Transform
+    noise_std: float = 0.0
+    true_weights: np.ndarray | None = None
+    seed: int = 0
+
+
+def _parse_matrix(raw_rows: list[tuple[int, list[str]]], n_columns: int) -> np.ndarray:
+    matrix = np.empty((len(raw_rows), n_columns))
+    for r, (line_no, row) in enumerate(raw_rows):
+        for c, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCellError(line_no, c + 1, cell) from None
+            if not np.isfinite(value):
+                raise NonNumericCellError(line_no, c + 1, cell, reason="is not finite")
+            matrix[r, c] = value
+    return matrix
+
+
+def _resolve_target_index(
+    target_column: str | int | None, header: list[str] | None, n_columns: int
+) -> int:
+    if target_column is None:
+        return n_columns - 1
+    if isinstance(target_column, str):
+        if header is None:
+            raise MissingTargetColumnError(
+                f"target column {target_column!r} requested but the file has no header"
+            )
+        try:
+            return header.index(target_column)
+        except ValueError:
+            raise MissingTargetColumnError(
+                f"target column {target_column!r} not found in header {header!r}"
+            ) from None
+    index = int(target_column)
+    if not 0 <= index < n_columns:
+        raise MissingTargetColumnError(
+            f"target column index {index} out of range for {n_columns} columns"
+        )
+    return index
+
+
+def load_csv(spec: DatasetSpec) -> Dataset:
+    """Read a comma-separated numeric file into an immutable Dataset.
+
+    Accepts an optional header row, LF or CRLF endings, and "." decimals.
+    Errors carry 1-based file coordinates: ragged rows raise
+    CsvParseError, unparsable or non-finite cells raise
+    NonNumericCellError, and a bad ``target_column`` raises
+    MissingTargetColumnError.
+    """
+    with open(spec.path, "r", encoding="utf-8", newline="") as handle:
+        rows = [(line_no, row) for line_no, row in enumerate(csv.reader(handle), start=1)]
+    rows = [(line_no, row) for line_no, row in rows if any(cell.strip() for cell in row)]
+    if not rows:
+        raise CsvParseError(f"{spec.path}: no data rows")
+
+    header: list[str] | None = None
+    if spec.has_header:
+        header = [cell.strip() for cell in rows[0][1]]
+        rows = rows[1:]
+        if not rows:
+            raise CsvParseError(f"{spec.path}: header only, no data rows")
+
+    n_columns = len(rows[0][1])
+    for line_no, row in rows:
+        if len(row) != n_columns:
+            raise CsvParseError(
+                f"{spec.path}: line {line_no}: expected {n_columns} fields, found {len(row)}"
+            )
+    if header is not None and len(header) != n_columns:
+        raise CsvParseError(
+            f"{spec.path}: header has {len(header)} fields but rows have {n_columns}"
+        )
+
+    matrix = _parse_matrix(rows, n_columns)
+    target_index = _resolve_target_index(spec.target_column, header, n_columns)
+    targets = matrix[:, target_index]
+    features = np.delete(matrix, target_index, axis=1)
+
+    if features.shape[1] == 0 and not spec.add_bias:
+        raise CsvParseError(f"{spec.path}: no feature columns remain after removing the target")
+
+    if spec.standardize and features.shape[1] > 0:
+        mean = features.mean(axis=0)
+        std = features.std(axis=0)
+        zero_var = np.flatnonzero(std == 0.0)
+        if zero_var.size:
+            raise ValueError(
+                f"feature column {int(zero_var[0]) + 1} has zero variance and cannot be standardized"
+            )
+        features = (features - mean) / std
+
+    if spec.add_bias:
+        features = np.column_stack([features, np.ones(features.shape[0])])
+
+    return Dataset(features, targets)
+
+
+def load_feature_csv(path: str | Path, has_header: bool = True) -> np.ndarray:
+    """Read a feature-only CSV (no target column) as an (N, d) float matrix."""
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = [(line_no, row) for line_no, row in enumerate(csv.reader(handle), start=1)]
+    rows = [(line_no, row) for line_no, row in rows if any(cell.strip() for cell in row)]
+    if not rows:
+        raise CsvParseError(f"{path}: no data rows")
+    if has_header:
+        rows = rows[1:]
+        if not rows:
+            raise CsvParseError(f"{path}: header only, no data rows")
+    n_columns = len(rows[0][1])
+    for line_no, row in rows:
+        if len(row) != n_columns:
+            raise CsvParseError(f"{path}: line {line_no}: expected {n_columns} fields, found {len(row)}")
+    return _parse_matrix(rows, n_columns)
+
+
+def write_csv(dataset: Dataset, path: str | Path, feature_names: list[str] | None = None) -> None:
+    """Write a Dataset as ``x1,...,xd,target`` rows.
+
+    Values use shortest-round-trip decimal formatting, so reading the file
+    back recovers every entry bit-for-bit.
+    """
+    d = dataset.n_features
+    if feature_names is None:
+        feature_names = [f"x{i + 1}" for i in range(d)]
+    if len(feature_names) != d:
+        raise ValueError(f"expected {d} feature names, got {len(feature_names)}")
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join([*feature_names, "target"]) + "\n")
+        for row, target in zip(dataset.features, dataset.targets):
+            cells = [repr(float(value)) for value in row]
+            cells.append(repr(float(target)))
+            handle.write(",".join(cells) + "\n")
+
+
+def generate_synthetic(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
+    """Draw a seeded synthetic dataset; returns (dataset, true weights).
+
+    With ``noise_std == 0`` the data is exactly realizable by the
+    generating transform and weights, so a convex fit can reach zero loss.
+    """
+    if spec.n_samples < 1:
+        raise ValueError("n_samples must be a positive integer")
+    if spec.n_features < 1:
+        raise ValueError("n_features must be a positive integer")
+    if not spec.noise_std >= 0.0:
+        raise ValueError("noise_std must be nonnegative")
+
+    rng = np.random.default_rng(spec.seed)
+    if spec.true_weights is None:
+        weights = rng.uniform(-1.0, 1.0, spec.n_features)
+    else:
+        weights = np.asarray(spec.true_weights, dtype=float)
+        if weights.shape != (spec.n_features,):
+            raise ValueError(
+                f"true_weights must have shape ({spec.n_features},), got {weights.shape}"
+            )
+    features = rng.uniform(-1.0, 1.0, (spec.n_samples, spec.n_features))
+    noise = rng.normal(0.0, spec.noise_std, spec.n_samples) if spec.noise_std > 0 else 0.0
+    targets = spec.transform.evaluate(features @ weights + noise)
+    return Dataset(features, np.asarray(targets, dtype=float)), weights
+
+
+def estimate_target_bound(dataset: Dataset, margin: float = 1.0) -> float:
+    """Data-driven bound ``margin * max |y|`` (1.0 fallback for all-zero targets).
+
+    Any bound at least max |y| satisfies the convexity hypothesis; the
+    margin hedges against unseen targets.
+    """
+    if not margin >= 1.0:
+        raise ValueError("margin must be >= 1")
+    largest = float(np.abs(dataset.targets).max())
+    return margin * (largest if largest > 0.0 else 1.0)

@@ -1,0 +1,186 @@
+"""Squared loss composed with a scalar transform, and its derivatives.
+
+The model predicts ``g(w . x)``; the per-sample loss is ``(g(z) - y)^2``
+with ``z = w . x``.  Everything here is a pure function of immutable
+inputs, so concurrent evaluation is safe.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .transforms import ConvexSqrtTransform, AffineTransform, Transform
+
+
+class DimensionMismatchError(ValueError):
+    """Weight vector and feature dimensions disagree."""
+
+
+class TargetBoundWarning(UserWarning):
+    """Some targets exceed the transform's bound; convexity is no longer guaranteed."""
+
+
+def _readonly(array: np.ndarray) -> np.ndarray:
+    array = np.array(array, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Immutable regression data: an (N, d) feature matrix and N targets."""
+
+    features: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self) -> None:
+        features = _readonly(self.features)
+        targets = _readonly(self.targets)
+        if features.ndim != 2:
+            raise ValueError("features must be a 2-D matrix")
+        if targets.ndim != 1:
+            raise ValueError("targets must be a 1-D vector")
+        if features.shape[0] != targets.shape[0]:
+            raise ValueError(
+                f"features have {features.shape[0]} rows but there are {targets.shape[0]} targets"
+            )
+        if features.shape[0] < 1 or features.shape[1] < 1:
+            raise ValueError("need at least one sample and one feature")
+        if not np.all(np.isfinite(features)) or not np.all(np.isfinite(targets)):
+            raise ValueError("all dataset entries must be finite")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "targets", targets)
+
+    @property
+    def n_samples(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def n_features(self) -> int:
+        return self.features.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class Model:
+    """A weight vector paired with the transform applied to ``w . x``."""
+
+    weights: np.ndarray
+    transform: Transform
+
+    def __post_init__(self) -> None:
+        weights = _readonly(self.weights)
+        if weights.ndim != 1 or weights.size < 1:
+            raise ValueError("weights must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        object.__setattr__(self, "weights", weights)
+
+    def predict(self, features) -> np.ndarray:
+        features = np.asarray(features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != self.weights.size:
+            raise DimensionMismatchError(
+                f"model has {self.weights.size} weights but features have "
+                f"{features.shape[-1] if features.ndim else 0} columns"
+            )
+        return self.transform.evaluate(features @ self.weights)
+
+
+def loss_z(transform: Transform, z, y):
+    """Squared loss ``(g(z) - y)^2`` as a function of the linear response z."""
+    residual = transform.evaluate(z) - y
+    return residual * residual
+
+
+def dloss_dz(transform: Transform, z, y):
+    """Derivative of :func:`loss_z` in z: ``2 * (g(z) - y) * g'(z)``."""
+    return 2.0 * (transform.evaluate(z) - y) * transform.derivative(z)
+
+
+def convexity_target_bound(transform: Transform) -> float | None:
+    """Largest |y| for which the composed loss is guaranteed convex.
+
+    Returns ``inf`` for the affine baseline, the transform's ``y_bound``
+    for the square-root family, and ``None`` when no target magnitude
+    gives a guarantee (tanh).
+    """
+    if isinstance(transform, ConvexSqrtTransform):
+        return transform.y_bound
+    if isinstance(transform, AffineTransform):
+        return math.inf
+    return None
+
+
+def _warn_if_outside_bound(transform: Transform, targets: np.ndarray) -> None:
+    bound = convexity_target_bound(transform)
+    if bound is None or not np.isfinite(bound):
+        return
+    n_outside = int(np.count_nonzero(np.abs(targets) > bound))
+    if n_outside:
+        warnings.warn(
+            f"{n_outside} target(s) exceed the bound {bound:g}; "
+            "the convexity guarantee does not apply",
+            TargetBoundWarning,
+            stacklevel=3,
+        )
+
+
+def _check_dims(model: Model, dataset: Dataset) -> None:
+    if model.weights.size != dataset.n_features:
+        raise DimensionMismatchError(
+            f"model has {model.weights.size} weights but the dataset has "
+            f"{dataset.n_features} features"
+        )
+
+
+def _composed_loss(features, targets, transform, weights) -> float:
+    # np.sum is pairwise over ascending sample index: reproducible bit-for-bit.
+    residual = transform.evaluate(features @ weights) - targets
+    return float(np.sum(residual * residual))
+
+
+def _composed_gradient(features, targets, transform, weights) -> np.ndarray:
+    z = features @ weights
+    coef = 2.0 * (transform.evaluate(z) - targets) * transform.derivative(z)
+    return (features * coef[:, None]).sum(axis=0)
+
+
+def sample_gradient(model: Model, x, y) -> np.ndarray:
+    """Gradient in w of one sample's loss: ``dloss_dz(w . x, y) * x``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size != model.weights.size:
+        raise DimensionMismatchError(
+            f"sample has {x.size} entries but the model has {model.weights.size} weights"
+        )
+    z = float(x @ model.weights)
+    return dloss_dz(model.transform, z, y) * x
+
+
+def total_loss(model: Model, dataset: Dataset) -> float:
+    """Cumulative squared loss over the dataset."""
+    _check_dims(model, dataset)
+    _warn_if_outside_bound(model.transform, dataset.targets)
+    return _composed_loss(dataset.features, dataset.targets, model.transform, model.weights)
+
+
+def total_gradient(model: Model, dataset: Dataset) -> np.ndarray:
+    """Gradient of :func:`total_loss` in the weights."""
+    _check_dims(model, dataset)
+    _warn_if_outside_bound(model.transform, dataset.targets)
+    return _composed_gradient(dataset.features, dataset.targets, model.transform, model.weights)
+
+
+def psd_condition_value(transform: Transform, z, y):
+    """Pointwise curvature of the composed loss: ``2*g'(z)^2 + 2*(g(z)-y)*g''(z)``.
+
+    The sign decides whether the loss Hessian contribution ``value * x x^T``
+    is positive semidefinite at this (z, y).  Only defined for transforms
+    with a second derivative; raises UnsupportedTransformError otherwise.
+    """
+    g = transform.evaluate(z)
+    gp = transform.derivative(z)
+    gpp = transform.second_derivative(z)
+    return 2.0 * gp * gp + 2.0 * (g - y) * gpp

@@ -1,0 +1,250 @@
+"""Batch gradient descent with backtracking line search, plus closed-form OLS.
+
+Convexity of the composed loss is what makes this simple solver globally
+reliable: with the square-root transform and in-bound targets, every
+restart reaches the same optimal loss value.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from .loss import (
+    Dataset,
+    DimensionMismatchError,
+    TargetBoundWarning,
+    _composed_gradient,
+    _composed_loss,
+    _warn_if_outside_bound,
+)
+from .transforms import Transform
+
+_MIN_STEP = 1e-16
+_PIVOT_RATIO = 1e-12
+
+TERMINATION_CONVERGED = "converged"
+TERMINATION_MAX_ITERS = "max_iters"
+TERMINATION_STALLED = "line_search_stalled"
+
+
+class NonFiniteLossError(ValueError):
+    """The loss at the starting point is not finite."""
+
+
+class SingularSystemError(ValueError):
+    """The normal equations are numerically singular."""
+
+    def __init__(self, pivot_index: int, pivot_value: float):
+        self.pivot_index = int(pivot_index)
+        self.pivot_value = float(pivot_value)
+        super().__init__(
+            f"normal equations numerically singular at pivot {pivot_index} "
+            f"(value {pivot_value:g})"
+        )
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Gradient-descent settings.
+
+    The solver stops when ``||grad||_2 <= grad_tol * (1 + |loss|)``, caps
+    work at ``max_iters`` accepted steps, and accepts a step s only when
+    the Armijo test ``L(w - s*g) <= L(w) - armijo_c * s * ||g||^2`` holds.
+    ``seed`` drives restart initialization in :func:`multi_restart_fit`.
+    """
+
+    max_iters: int = 10000
+    grad_tol: float = 1e-8
+    armijo_c: float = 1e-4
+    backtrack_factor: float = 0.5
+    init_step: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be a positive integer")
+        if not self.grad_tol > 0.0:
+            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.armijo_c < 1.0:
+            raise ValueError("armijo_c must lie in (0, 1)")
+        if not 0.0 < self.backtrack_factor < 1.0:
+            raise ValueError("backtrack_factor must lie in (0, 1)")
+        if not self.init_step > 0.0:
+            raise ValueError("init_step must be positive")
+
+
+@dataclass(frozen=True, eq=False)
+class FitReport:
+    """Optimizer trajectory for one fit."""
+
+    final_weights: np.ndarray
+    final_loss: float
+    final_grad_norm: float
+    iterations: int
+    termination: str
+    loss_trace: np.ndarray
+
+    def to_dict(self, include_trace: bool = True) -> dict:
+        payload = {
+            "final_weights": [float(w) for w in self.final_weights],
+            "final_loss": float(self.final_loss),
+            "final_grad_norm": float(self.final_grad_norm),
+            "iterations": int(self.iterations),
+            "termination": self.termination,
+        }
+        if include_trace:
+            payload["loss_trace"] = [float(v) for v in self.loss_trace]
+        return payload
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array = np.array(array, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | None = None) -> FitReport:
+    """Minimize the cumulative squared loss by gradient descent from ``w0``.
+
+    Each iteration takes a step along the negative gradient, with the step
+    size warm-started from the previous iteration (grown by one backtrack
+    factor) and shrunk until the Armijo test passes.  The loss trace is
+    therefore nonincreasing.  Terminations:
+
+    - ``converged``: gradient norm fell below ``grad_tol * (1 + |loss|)``;
+    - ``max_iters``: iteration budget exhausted;
+    - ``line_search_stalled``: no acceptable step above 1e-16 exists
+      (typically the loss is already at the floating-point floor).
+    """
+    if config is None:
+        config = SolverConfig()
+    w = np.array(w0, dtype=float)
+    if w.ndim != 1 or w.size != dataset.n_features:
+        raise DimensionMismatchError(
+            f"w0 has {w.size} entries but the dataset has {dataset.n_features} features"
+        )
+    if not np.all(np.isfinite(w)):
+        raise ValueError("w0 must be finite")
+    _warn_if_outside_bound(transform, dataset.targets)
+
+    features, targets = dataset.features, dataset.targets
+    loss = _composed_loss(features, targets, transform, w)
+    if not np.isfinite(loss):
+        raise NonFiniteLossError(f"loss at the starting point is {loss!r}")
+
+    trace = [loss]
+    iterations = 0
+    termination = TERMINATION_MAX_ITERS
+    # First trial step is exactly init_step; later trials warm-start from
+    # the previously accepted step, grown by one backtrack factor.
+    step = config.init_step * config.backtrack_factor
+
+    for _ in range(config.max_iters):
+        grad = _composed_gradient(features, targets, transform, w)
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= config.grad_tol * (1.0 + abs(loss)):
+            termination = TERMINATION_CONVERGED
+            break
+
+        grad_sq = grad_norm * grad_norm
+        step = step / config.backtrack_factor
+        accepted = False
+        while step > _MIN_STEP:
+            w_try = w - step * grad
+            loss_try = _composed_loss(features, targets, transform, w_try)
+            # Strict decrease is required on top of the Armijo test: at the
+            # floating-point floor the Armijo threshold rounds to loss itself,
+            # which would otherwise accept zero-progress steps forever.
+            # NaN/inf trial losses fail both tests and shrink the step.
+            if loss_try <= loss - config.armijo_c * step * grad_sq and loss_try < loss:
+                accepted = True
+                break
+            step *= config.backtrack_factor
+        if not accepted:
+            termination = TERMINATION_STALLED
+            break
+
+        w = w_try
+        loss = loss_try
+        trace.append(loss)
+        iterations += 1
+    else:
+        termination = TERMINATION_MAX_ITERS
+
+    final_grad = _composed_gradient(features, targets, transform, w)
+    return FitReport(
+        final_weights=_frozen(w),
+        final_loss=float(loss),
+        final_grad_norm=float(np.linalg.norm(final_grad)),
+        iterations=iterations,
+        termination=termination,
+        loss_trace=_frozen(np.asarray(trace)),
+    )
+
+
+def _cholesky_with_pivots(matrix: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor; raises SingularSystemError on a bad pivot."""
+    n = matrix.shape[0]
+    factor = np.zeros_like(matrix)
+    pivots = np.empty(n)
+    for j in range(n):
+        pivot = matrix[j, j] - factor[j, :j] @ factor[j, :j]
+        pivots[j] = pivot
+        largest = float(pivots[: j + 1].max())
+        if pivot <= 0.0 or pivot <= _PIVOT_RATIO * largest:
+            raise SingularSystemError(j, pivot)
+        factor[j, j] = np.sqrt(pivot)
+        if j + 1 < n:
+            factor[j + 1 :, j] = (matrix[j + 1 :, j] - factor[j + 1 :, :j] @ factor[j, :j]) / factor[j, j]
+    smallest_idx = int(np.argmin(pivots))
+    if pivots[smallest_idx] <= _PIVOT_RATIO * float(pivots.max()):
+        raise SingularSystemError(smallest_idx, pivots[smallest_idx])
+    return factor
+
+
+def ols_fit(dataset: Dataset) -> np.ndarray:
+    """Ordinary least squares via the normal equations ``(X^T X) w = X^T y``.
+
+    Solved with a symmetric positive-definite factorization; raises
+    SingularSystemError (carrying the offending pivot index) when the
+    smallest pivot is not above 1e-12 of the largest.
+    """
+    gram = dataset.features.T @ dataset.features
+    rhs = dataset.features.T @ dataset.targets
+    factor = _cholesky_with_pivots(gram)
+    halfway = np.linalg.solve(factor, rhs)
+    return np.linalg.solve(factor.T, halfway)
+
+
+def multi_restart_fit(
+    dataset: Dataset,
+    transform: Transform,
+    restarts: int,
+    config: SolverConfig | None = None,
+) -> list[FitReport]:
+    """Run :func:`gd_fit` from ``restarts`` independent starting points.
+
+    Starting points are i.i.d. uniform on ``[-r, r]^d`` with
+    ``r = 10 / (1 + max feature column norm)``, seeded from
+    ``config.seed + restart_index`` so each restart is reproducible on its
+    own.  Reports are returned in restart order.  Under a convex objective
+    the final losses agree; a spread of final losses is the signature of a
+    nonconvex landscape.
+    """
+    if config is None:
+        config = SolverConfig()
+    if restarts < 2:
+        raise ValueError("restarts must be at least 2")
+    radius = 10.0 / (1.0 + float(np.linalg.norm(dataset.features, axis=0).max()))
+    reports = []
+    with warnings.catch_warnings():
+        # gd_fit would repeat the same out-of-bound warning once per restart.
+        warnings.simplefilter("once", TargetBoundWarning)
+        for index in range(restarts):
+            rng = np.random.default_rng(config.seed + index)
+            w0 = rng.uniform(-radius, radius, dataset.n_features)
+            reports.append(gd_fit(dataset, transform, w0, config))
+    return reports
