@@ -40,7 +40,7 @@ from .loss import (
     DimensionMismatchError,
     Model,
     TargetBoundWarning,
-    convexity_target_bound,
+    _bound_violation,
 )
 from .solver import (
     SolverConfig,
@@ -195,15 +195,8 @@ def _cmd_fit(args) -> int:
         y_bound = estimate_target_bound(dataset, 1.0)
     transform = _build_transform(args.transform, args.alpha, y_bound)
 
-    run_warnings = []
-    bound = convexity_target_bound(transform)
-    if bound is not None and np.isfinite(bound):
-        n_outside = int(np.count_nonzero(np.abs(dataset.targets) > bound))
-        if n_outside:
-            run_warnings.append(
-                f"{n_outside} target(s) exceed the bound {bound:g}; "
-                "the convexity guarantee does not apply"
-            )
+    bound_message = _bound_violation(transform, dataset.targets)
+    run_warnings = [] if bound_message is None else [bound_message]
 
     config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
     with warnings.catch_warnings():

@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _composed_loss
+from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _evaluate
 from .transforms import InvalidGridError, Transform, UnsupportedTransformError
 
 _MAX_HESSIAN_DIM = 50
@@ -177,7 +177,7 @@ def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np
     features, targets = dataset.features, dataset.targets
 
     def value(point):
-        return _composed_loss(features, targets, transform, point)
+        return _evaluate(features, targets, transform, point)[2]
 
     d = w.size
     hessian = np.empty((d, d))

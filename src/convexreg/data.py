@@ -50,9 +50,12 @@ class DatasetSpec:
 class SynthSpec:
     """Synthetic data: ``y = g(w* . x + noise)`` with x uniform on [-1, 1].
 
-    Noise is injected before the transform, so targets always stay inside
-    the transform's range.  ``true_weights`` defaults to a seeded uniform
-    draw on [-1, 1].
+    Noise is injected before the transform, so every target is a value of
+    ``g``.  That does not keep targets inside the convexity bound: the
+    convex-sqrt transform is unbounded, and its targets exceed ``y_bound``
+    wherever ``|w* . x + noise| > 3 / alpha``, which grows more common
+    with the number of features.  ``true_weights`` defaults to a seeded
+    uniform draw on [-1, 1].
     """
 
     n_samples: int

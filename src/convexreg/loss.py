@@ -24,8 +24,13 @@ class TargetBoundWarning(UserWarning):
     """Some targets exceed the transform's bound; convexity is no longer guaranteed."""
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array = np.array(array, dtype=float)
+def _frozen(array) -> np.ndarray:
+    """A read-only, C-contiguous float copy.
+
+    C order fixes the gradient's summation order (see :func:`_gradient`),
+    so results do not depend on the layout of the caller's array.
+    """
+    array = np.array(array, dtype=float, order="C")
     array.flags.writeable = False
     return array
 
@@ -38,8 +43,8 @@ class Dataset:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        features = _readonly(self.features)
-        targets = _readonly(self.targets)
+        features = _frozen(self.features)
+        targets = _frozen(self.targets)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if targets.ndim != 1:
@@ -72,7 +77,7 @@ class Model:
     transform: Transform
 
     def __post_init__(self) -> None:
-        weights = _readonly(self.weights)
+        weights = _frozen(self.weights)
         if weights.ndim != 1 or weights.size < 1:
             raise ValueError("weights must be a nonempty 1-D vector")
         if not np.all(np.isfinite(weights)):
@@ -114,18 +119,21 @@ def convexity_target_bound(transform: Transform) -> float | None:
     return None
 
 
-def _warn_if_outside_bound(transform: Transform, targets: np.ndarray) -> None:
+def _bound_violation(transform: Transform, targets: np.ndarray) -> str | None:
+    """Message naming how many targets exceed the convexity bound, or None."""
     bound = convexity_target_bound(transform)
     if bound is None or not np.isfinite(bound):
-        return
+        return None
     n_outside = int(np.count_nonzero(np.abs(targets) > bound))
-    if n_outside:
-        warnings.warn(
-            f"{n_outside} target(s) exceed the bound {bound:g}; "
-            "the convexity guarantee does not apply",
-            TargetBoundWarning,
-            stacklevel=3,
-        )
+    if not n_outside:
+        return None
+    return f"{n_outside} target(s) exceed the bound {bound:g}; the convexity guarantee does not apply"
+
+
+def _warn_if_outside_bound(transform: Transform, targets: np.ndarray) -> None:
+    message = _bound_violation(transform, targets)
+    if message is not None:
+        warnings.warn(message, TargetBoundWarning, stacklevel=3)
 
 
 def _check_dims(model: Model, dataset: Dataset) -> None:
@@ -136,16 +144,23 @@ def _check_dims(model: Model, dataset: Dataset) -> None:
         )
 
 
-def _composed_loss(features, targets, transform, weights) -> float:
-    # np.sum is pairwise over ascending sample index: reproducible bit-for-bit.
-    residual = transform.evaluate(features @ weights) - targets
-    return float(np.sum(residual * residual))
-
-
-def _composed_gradient(features, targets, transform, weights) -> np.ndarray:
+def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.ndarray, float]:
+    """Linear response ``z = X w``, residual ``g(z) - y`` and the summed squared loss."""
     z = features @ weights
-    coef = 2.0 * (transform.evaluate(z) - targets) * transform.derivative(z)
-    return (features * coef[:, None]).sum(axis=0)
+    residual = transform.evaluate(z) - targets
+    # np.sum is pairwise over ascending sample index: reproducible bit-for-bit.
+    return z, residual, float(np.sum(residual * residual))
+
+
+def _gradient(features, transform, z, residual) -> np.ndarray:
+    """Loss gradient ``sum_i 2 r_i g'(z_i) x_i`` from a point's response and residual.
+
+    For C-ordered features einsum adds the rows in ascending sample order,
+    one running sum per column, with no N x d temporary and no BLAS call,
+    so the bits do not depend on the BLAS thread count.
+    """
+    coef = 2.0 * residual * transform.derivative(z)
+    return np.einsum("ij,i->j", features, coef)
 
 
 def sample_gradient(model: Model, x, y) -> np.ndarray:
@@ -163,14 +178,15 @@ def total_loss(model: Model, dataset: Dataset) -> float:
     """Cumulative squared loss over the dataset."""
     _check_dims(model, dataset)
     _warn_if_outside_bound(model.transform, dataset.targets)
-    return _composed_loss(dataset.features, dataset.targets, model.transform, model.weights)
+    return _evaluate(dataset.features, dataset.targets, model.transform, model.weights)[2]
 
 
 def total_gradient(model: Model, dataset: Dataset) -> np.ndarray:
     """Gradient of :func:`total_loss` in the weights."""
     _check_dims(model, dataset)
     _warn_if_outside_bound(model.transform, dataset.targets)
-    return _composed_gradient(dataset.features, dataset.targets, model.transform, model.weights)
+    z, residual, _ = _evaluate(dataset.features, dataset.targets, model.transform, model.weights)
+    return _gradient(dataset.features, model.transform, z, residual)
 
 
 def psd_condition_value(transform: Transform, z, y):

@@ -16,8 +16,9 @@ from .loss import (
     Dataset,
     DimensionMismatchError,
     TargetBoundWarning,
-    _composed_gradient,
-    _composed_loss,
+    _evaluate,
+    _frozen,
+    _gradient,
     _warn_if_outside_bound,
 )
 from .transforms import Transform
@@ -100,12 +101,6 @@ class FitReport:
         return payload
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array = np.array(array, dtype=float)
-    array.flags.writeable = False
-    return array
-
-
 def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | None = None) -> FitReport:
     """Minimize the cumulative squared loss by gradient descent from ``w0``.
 
@@ -118,6 +113,10 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     - ``max_iters``: iteration budget exhausted;
     - ``line_search_stalled``: no acceptable step above 1e-16 exists
       (typically the loss is already at the floating-point floor).
+
+    One iteration costs one gradient reduction, which reuses the response
+    and residual of the trial point accepted last, plus one mat-vec and
+    one transform evaluation per line-search trial.
     """
     if config is None:
         config = SolverConfig()
@@ -131,7 +130,7 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     _warn_if_outside_bound(transform, dataset.targets)
 
     features, targets = dataset.features, dataset.targets
-    loss = _composed_loss(features, targets, transform, w)
+    z, residual, loss = _evaluate(features, targets, transform, w)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss at the starting point is {loss!r}")
 
@@ -143,7 +142,7 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     step = config.init_step * config.backtrack_factor
 
     for _ in range(config.max_iters):
-        grad = _composed_gradient(features, targets, transform, w)
+        grad = _gradient(features, transform, z, residual)
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= config.grad_tol * (1.0 + abs(loss)):
             termination = TERMINATION_CONVERGED
@@ -154,7 +153,10 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
         accepted = False
         while step > _MIN_STEP:
             w_try = w - step * grad
-            loss_try = _composed_loss(features, targets, transform, w_try)
+            # Every trial is evaluated from scratch at w_try, never by
+            # updating z along X @ grad: the carried z drifts, and the loss
+            # reported for the returned weights must be their exact loss.
+            z_try, residual_try, loss_try = _evaluate(features, targets, transform, w_try)
             # Strict decrease is required on top of the Armijo test: at the
             # floating-point floor the Armijo threshold rounds to loss itself,
             # which would otherwise accept zero-progress steps forever.
@@ -167,14 +169,13 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
             termination = TERMINATION_STALLED
             break
 
-        w = w_try
-        loss = loss_try
+        w, z, residual, loss = w_try, z_try, residual_try, loss_try
         trace.append(loss)
         iterations += 1
     else:
         termination = TERMINATION_MAX_ITERS
 
-    final_grad = _composed_gradient(features, targets, transform, w)
+    final_grad = _gradient(features, transform, z, residual)
     return FitReport(
         final_weights=_frozen(w),
         final_loss=float(loss),

@@ -1,5 +1,10 @@
 """Tests for gradient descent, OLS, and multi-restart consistency."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -12,12 +17,15 @@ from convexreg import (
     NonFiniteLossError,
     SingularSystemError,
     SolverConfig,
+    SynthSpec,
     TanhTransform,
     TargetBoundWarning,
     gd_fit,
+    generate_synthetic,
     loss_z,
     multi_restart_fit,
     ols_fit,
+    total_gradient,
     total_loss,
 )
 
@@ -239,3 +247,60 @@ class TestMultiRestart:
             w0 = rng.uniform(-radius, radius, dataset.n_features)
             expected = gd_fit(dataset, CS11, w0, config)
             assert reports[index].to_dict() == expected.to_dict()
+
+
+# Prints the bits of a gradient and of a short fit at 200,000 x 21.  Below
+# about that size the thread-unstable reductions (c @ X, X.T @ c) still
+# give the same bits at one and two BLAS threads, so a smaller matrix
+# would not catch them.
+_THREAD_PROBE = textwrap.dedent(
+    """
+    import json
+    import numpy as np
+    from convexreg import ConvexSqrtTransform, Dataset, Model, SolverConfig, SynthSpec
+    from convexreg import gd_fit, generate_synthetic, total_gradient
+
+    generated, _ = generate_synthetic(SynthSpec(200_000, 20, ConvexSqrtTransform(1.0, 1.0), 0.05, seed=5))
+    dataset = Dataset(
+        np.column_stack([generated.features, np.ones(generated.n_samples)]), generated.targets
+    )
+    transform = ConvexSqrtTransform(1.0, 3.0)
+    model = Model(np.full(21, 0.1), transform)
+    print(total_gradient(model, dataset).tobytes().hex())
+    report = gd_fit(dataset, transform, np.zeros(21), SolverConfig(max_iters=3))
+    print(json.dumps(report.to_dict()))
+    """
+)
+
+
+class TestReproducibility:
+    def test_reports_independent_of_input_layout(self):
+        generated, _ = generate_synthetic(SynthSpec(2000, 5, CS11, 0.05, seed=11))
+        transform = ConvexSqrtTransform(1.0, 3.0)
+        reports = [
+            gd_fit(Dataset(layout(generated.features), generated.targets), transform, np.zeros(5))
+            for layout in (np.ascontiguousarray, np.asfortranarray)
+        ]
+        assert reports[0].to_dict() == reports[1].to_dict()
+
+    def test_reports_independent_of_blas_threads(self):
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _THREAD_PROBE],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_report_matches_loss_and_gradient_at_final_weights(self):
+        generated, _ = generate_synthetic(SynthSpec(5000, 8, CS11, 0.1, seed=2))
+        transform = ConvexSqrtTransform(1.0, 3.0)
+        report = gd_fit(generated, transform, np.zeros(8))
+        assert report.termination == "line_search_stalled"
+        model = Model(report.final_weights, transform)
+        assert report.final_loss == total_loss(model, generated)
+        assert report.final_grad_norm == float(np.linalg.norm(total_gradient(model, generated)))
