@@ -318,33 +318,20 @@ def verification_battery(
             fd_hessian_psd_check(dataset, transform, w, check_name=f"fd_hessian_psd(w_draw={draw})")
         )
 
+    z_grid = np.linspace(-3.0, 3.0, 61)
+    y_grid = np.linspace(-y_bound, y_bound, 21)
     try:
-        witness = find_nonconvex_witness(
-            transform,
-            np.linspace(-3.0, 3.0, 61),
-            np.linspace(-y_bound, y_bound, 21),
-        )
+        witness = find_nonconvex_witness(transform, z_grid, y_grid)
     except UnsupportedTransformError:
         pass  # no second derivative: the search does not apply
     else:
-        if witness is None:
-            reports.append(
-                ConvexityReport(
-                    check_name="nonconvex_witness_search",
-                    passed=True,
-                    worst_violation=0.0,
-                    witness=None,
-                    samples_tested=61 * 21,
-                )
+        reports.append(
+            ConvexityReport(
+                check_name="nonconvex_witness_search",
+                passed=witness is None,
+                worst_violation=0.0 if witness is None else witness[2],
+                witness=None if witness is None else (witness[0], witness[1]),
+                samples_tested=z_grid.size * y_grid.size,
             )
-        else:
-            reports.append(
-                ConvexityReport(
-                    check_name="nonconvex_witness_search",
-                    passed=False,
-                    worst_violation=witness[2],
-                    witness=(witness[0], witness[1]),
-                    samples_tested=61 * 21,
-                )
-            )
+        )
     return reports

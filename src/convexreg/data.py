@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,18 +67,51 @@ class SynthSpec:
     seed: int = 0
 
 
-def _parse_matrix(raw_rows: list[tuple[int, list[str]]], n_columns: int) -> np.ndarray:
-    matrix = np.empty((len(raw_rows), n_columns))
-    for r, (line_no, row) in enumerate(raw_rows):
-        for c, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericCellError(line_no, c + 1, cell) from None
-            if not np.isfinite(value):
-                raise NonNumericCellError(line_no, c + 1, cell, reason="is not finite")
-            matrix[r, c] = value
-    return matrix
+def _read_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, np.ndarray]:
+    """Read a numeric CSV file as ``(header or None, float matrix)``.
+
+    Blank rows are dropped but still counted, so errors name 1-based file
+    coordinates.  The cells are converted in one numpy call; only if that
+    fails are they scanned in row order to name the first bad cell.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        rows = list(enumerate(csv.reader(handle), start=1))
+    rows = [(line_no, row) for line_no, row in rows if any(cell.strip() for cell in row)]
+    if not rows:
+        raise CsvParseError(f"{path}: no data rows")
+
+    header: list[str] | None = None
+    if has_header:
+        header = [cell.strip() for cell in rows[0][1]]
+        rows = rows[1:]
+        if not rows:
+            raise CsvParseError(f"{path}: header only, no data rows")
+
+    n_columns = len(rows[0][1])
+    for line_no, row in rows:
+        if len(row) != n_columns:
+            raise CsvParseError(
+                f"{path}: line {line_no}: expected {n_columns} fields, found {len(row)}"
+            )
+    if header is not None and len(header) != n_columns:
+        raise CsvParseError(f"{path}: header has {len(header)} fields but rows have {n_columns}")
+
+    try:
+        # numpy converts each cell with float(), so values match it bit for bit.
+        matrix = np.array([row for _, row in rows], dtype=float)
+        if not np.isfinite(matrix).all():
+            raise ValueError("non-finite cell")
+    except ValueError:
+        for line_no, row in rows:
+            for column, cell in enumerate(row, start=1):
+                try:
+                    finite = math.isfinite(float(cell))
+                except ValueError:
+                    raise NonNumericCellError(line_no, column, cell) from None
+                if not finite:
+                    raise NonNumericCellError(line_no, column, cell, "is not finite") from None
+        raise
+    return header, matrix
 
 
 def _resolve_target_index(
@@ -113,32 +147,8 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     NonNumericCellError, and a bad ``target_column`` raises
     MissingTargetColumnError.
     """
-    with open(spec.path, "r", encoding="utf-8", newline="") as handle:
-        rows = [(line_no, row) for line_no, row in enumerate(csv.reader(handle), start=1)]
-    rows = [(line_no, row) for line_no, row in rows if any(cell.strip() for cell in row)]
-    if not rows:
-        raise CsvParseError(f"{spec.path}: no data rows")
-
-    header: list[str] | None = None
-    if spec.has_header:
-        header = [cell.strip() for cell in rows[0][1]]
-        rows = rows[1:]
-        if not rows:
-            raise CsvParseError(f"{spec.path}: header only, no data rows")
-
-    n_columns = len(rows[0][1])
-    for line_no, row in rows:
-        if len(row) != n_columns:
-            raise CsvParseError(
-                f"{spec.path}: line {line_no}: expected {n_columns} fields, found {len(row)}"
-            )
-    if header is not None and len(header) != n_columns:
-        raise CsvParseError(
-            f"{spec.path}: header has {len(header)} fields but rows have {n_columns}"
-        )
-
-    matrix = _parse_matrix(rows, n_columns)
-    target_index = _resolve_target_index(spec.target_column, header, n_columns)
+    header, matrix = _read_matrix(spec.path, spec.has_header)
+    target_index = _resolve_target_index(spec.target_column, header, matrix.shape[1])
     targets = matrix[:, target_index]
     features = np.delete(matrix, target_index, axis=1)
 
@@ -162,21 +172,8 @@ def load_csv(spec: DatasetSpec) -> Dataset:
 
 
 def load_feature_csv(path: str | Path, has_header: bool = True) -> np.ndarray:
-    """Read a feature-only CSV (no target column) as an (N, d) float matrix."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = [(line_no, row) for line_no, row in enumerate(csv.reader(handle), start=1)]
-    rows = [(line_no, row) for line_no, row in rows if any(cell.strip() for cell in row)]
-    if not rows:
-        raise CsvParseError(f"{path}: no data rows")
-    if has_header:
-        rows = rows[1:]
-        if not rows:
-            raise CsvParseError(f"{path}: header only, no data rows")
-    n_columns = len(rows[0][1])
-    for line_no, row in rows:
-        if len(row) != n_columns:
-            raise CsvParseError(f"{path}: line {line_no}: expected {n_columns} fields, found {len(row)}")
-    return _parse_matrix(rows, n_columns)
+    """Read a feature-only CSV as an (N, d) float matrix; same rules and errors as load_csv."""
+    return _read_matrix(path, has_header)[1]
 
 
 def write_csv(dataset: Dataset, path: str | Path, feature_names: list[str] | None = None) -> None:

@@ -240,10 +240,11 @@ def multi_restart_fit(
     if restarts < 2:
         raise ValueError("restarts must be at least 2")
     radius = 10.0 / (1.0 + float(np.linalg.norm(dataset.features, axis=0).max()))
+    _warn_if_outside_bound(transform, dataset.targets)
     reports = []
     with warnings.catch_warnings():
-        # gd_fit would repeat the same out-of-bound warning once per restart.
-        warnings.simplefilter("once", TargetBoundWarning)
+        # Warned once above, under the caller's filters; gd_fit would repeat it per restart.
+        warnings.simplefilter("ignore", TargetBoundWarning)
         for index in range(restarts):
             rng = np.random.default_rng(config.seed + index)
             w0 = rng.uniform(-radius, radius, dataset.n_features)

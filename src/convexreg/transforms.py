@@ -56,17 +56,13 @@ class ConvexSqrtTransform:
         object.__setattr__(self, "y_bound", _finite_positive(self.y_bound, "y_bound"))
 
     def _root(self, z):
-        """sqrt(alpha*|z| + 1), rescaled hypot-style when the radicand would overflow."""
+        """sqrt(alpha*|z| + 1), rescaled hypot-style where the radicand overflows."""
         with np.errstate(over="ignore"):
             root = np.sqrt(self.alpha * np.abs(z) + 1.0)
-        if np.ndim(root) == 0:
-            if not np.isfinite(root) and np.isfinite(z):
-                root = np.sqrt(self.alpha) * np.sqrt(np.abs(z))
-        else:
-            bad = ~np.isfinite(root) & np.isfinite(np.asarray(z, dtype=float))
-            if bad.any():
-                z_bad = np.abs(np.asarray(z, dtype=float)[bad])
-                root[bad] = np.sqrt(self.alpha) * np.sqrt(z_bad)
+        overflowed = np.isinf(root)
+        if overflowed.any():
+            # An infinite z stays infinite under the rescale; [()] keeps scalars scalar.
+            root = np.where(overflowed, np.sqrt(self.alpha) * np.sqrt(np.abs(z)), root)[()]
         return root
 
     def evaluate(self, z):

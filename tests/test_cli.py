@@ -109,13 +109,16 @@ class TestFit:
         assert "--alpha" in err
 
     def test_small_y_bound_records_warning(self, synth_dir):
-        code, out, err = run_cli(
-            "fit", "--data", synth_dir / "data.csv", "--y-bound", 0.01, "--max-iters", 200,
-        )
-        assert code in (0, 4), err
-        report = json.loads(out)
-        assert report["results"]["warnings"], "expected a recorded hypothesis warning"
-        assert "bound" in report["results"]["warnings"][0]
+        for restarts in (1, 3):
+            code, out, err = run_cli(
+                "fit", "--data", synth_dir / "data.csv", "--y-bound", 0.01, "--max-iters", 200,
+                "--restarts", restarts,
+            )
+            assert code in (0, 4), err
+            assert "TargetBoundWarning" not in err  # recorded in the report, not printed
+            report = json.loads(out)
+            assert report["results"]["warnings"], "expected a recorded hypothesis warning"
+            assert "bound" in report["results"]["warnings"][0]
 
     def test_missing_data_file(self, tmp_path):
         code, _, err = run_cli("fit", "--data", tmp_path / "absent.csv")
@@ -161,6 +164,15 @@ class TestPredict:
         code, _, err = run_cli("predict", "--model", tmp_path / "m.json", "--data", tmp_path / "f.csv")
         assert code == 3
         assert "columns" in err
+
+    def test_header_width_mismatch(self, tmp_path):
+        model = {"weights": [1.0], "transform": {"kind": "affine", "a": 1.0, "b": 0.0}}
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        (tmp_path / "f.csv").write_text("a,b\n1\n2\n")
+        code, out, err = run_cli("predict", "--model", tmp_path / "m.json", "--data", tmp_path / "f.csv")
+        assert code == 3
+        assert out == ""
+        assert "header has 2 fields but rows have 1" in err
 
     def test_shortest_round_trip_formatting(self, tmp_path):
         model = {"weights": [1.0], "transform": {"kind": "affine", "a": 1.0, "b": 0.1}}

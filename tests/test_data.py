@@ -27,6 +27,14 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+# Both loaders share one reader, so its errors are checked through each.
+both_loaders = pytest.mark.parametrize(
+    "load",
+    [lambda path: load_csv(DatasetSpec(path)), load_feature_csv],
+    ids=["load_csv", "load_feature_csv"],
+)
+
+
 class TestLoadCsv:
     def test_basic_parse_appends_bias(self, tmp_path):
         path = write(tmp_path, "x,y\n1,2\n2,4\n")
@@ -48,26 +56,52 @@ class TestLoadCsv:
         np.testing.assert_array_equal(dataset.targets, [1.0, 4.0])
         np.testing.assert_array_equal(dataset.features, [[2.0, 3.0], [5.0, 6.0]])
 
-    def test_non_numeric_cell_named(self, tmp_path):
+    @both_loaders
+    def test_non_numeric_cell_named(self, tmp_path, load):
         path = write(tmp_path, "x,y\n1,2\n2,abc\n")
         with pytest.raises(NonNumericCellError) as err:
-            load_csv(DatasetSpec(path))
+            load(path)
         assert err.value.line == 3
         assert err.value.column == 2
         assert "abc" in str(err.value)
 
-    def test_non_finite_cell_rejected(self, tmp_path):
+    @both_loaders
+    def test_non_finite_cell_rejected(self, tmp_path, load):
         path = write(tmp_path, "x,y\n1,2\nnan,1\n")
         with pytest.raises(NonNumericCellError) as err:
-            load_csv(DatasetSpec(path))
+            load(path)
         assert err.value.line == 3
         assert err.value.column == 1
 
-    def test_ragged_row_names_line(self, tmp_path):
+    @both_loaders
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            ("x,y\n1,2\nnan,1\n2,abc\n", 3, 1, "cell 'nan' is not finite"),
+            ("x,y\n1,2\n2,abc\nnan,1\n", 3, 2, "cell 'abc' is not a number"),
+            ("x,y\n1,2\n\n , \n3,inf\n", 5, 2, "cell 'inf' is not finite"),
+        ],
+        ids=["nan-then-abc", "abc-then-nan", "after-blank-lines"],
+    )
+    def test_first_bad_cell_in_file_order_is_named(self, tmp_path, load, text, line, column, message):
+        path = write(tmp_path, text)
+        with pytest.raises(NonNumericCellError) as err:
+            load(path)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+
+    @both_loaders
+    def test_ragged_row_names_line(self, tmp_path, load):
         path = write(tmp_path, "x,y\n1,2\n1,2,3\n")
         with pytest.raises(CsvParseError) as err:
-            load_csv(DatasetSpec(path))
+            load(path)
         assert "line 3" in str(err.value)
+
+    @both_loaders
+    def test_header_width_must_match_rows(self, tmp_path, load):
+        path = write(tmp_path, "x,y,z\n1,2\n3,4\n")
+        with pytest.raises(CsvParseError, match="header has 3 fields but rows have 2"):
+            load(path)
 
     def test_missing_target_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")

@@ -192,6 +192,12 @@ class TestMultiRestart:
         with pytest.raises(ValueError):
             multi_restart_fit(dataset, CS11, 1)
 
+    def test_out_of_bound_targets_warn_once(self):
+        dataset, _ = make_realizable(seed=312)
+        with pytest.warns(TargetBoundWarning) as record:
+            multi_restart_fit(dataset, ConvexSqrtTransform(1.0, 0.01), 3, SolverConfig(max_iters=5))
+        assert [w.category for w in record] == [TargetBoundWarning]
+
     def test_convex_restarts_agree(self):
         rng = np.random.default_rng(311)
         t = ConvexSqrtTransform(1.3, 2.0)
