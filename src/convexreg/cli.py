@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -25,10 +26,7 @@ import numpy as np
 from . import __version__
 from .convexity import verification_battery
 from .data import (
-    CsvParseError,
     DatasetSpec,
-    MissingTargetColumnError,
-    NonNumericCellError,
     SynthSpec,
     estimate_target_bound,
     generate_synthetic,
@@ -36,13 +34,9 @@ from .data import (
     load_feature_csv,
     write_csv,
 )
-from .loss import (
-    DimensionMismatchError,
-    Model,
-    TargetBoundWarning,
-    _bound_violation,
-)
+from .loss import Model, TargetBoundWarning, _bound_violation
 from .solver import (
+    NonFiniteLossError,
     SolverConfig,
     TERMINATION_CONVERGED,
     gd_fit,
@@ -53,28 +47,18 @@ from .transforms import (
     ConvexSqrtTransform,
     TanhTransform,
     Transform,
+    _TRANSFORMS,
     transform_from_dict,
     transform_to_dict,
 )
 
 EXIT_OK = 0
-EXIT_BAD_FLAGS = 2
 EXIT_DATA_ERROR = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_CHECK_FAILED = 5
 
-_DATA_ERRORS = (
-    OSError,
-    CsvParseError,
-    MissingTargetColumnError,
-    NonNumericCellError,
-    DimensionMismatchError,
-)
-
-
-def _fail_flags(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_BAD_FLAGS
+# Every error the data layer raises for a bad file derives from one of these.
+_DATA_ERRORS = (OSError, ValueError)
 
 
 def _fail_data(message: str) -> int:
@@ -96,17 +80,45 @@ def _report(command: str, config_echo: dict, results: dict, started: float) -> d
     }
 
 
-def _parse_y_bound(raw: str, allow_auto: bool) -> float | str | None:
-    """Returns a positive float, the string "auto", or None when invalid."""
-    if raw == "auto":
-        return "auto" if allow_auto else None
+def _flag_type(convert, accept, rule: str):
+    """An argparse ``type=`` that converts a flag value and enforces ``rule``.
+
+    A value that fails either step makes argparse print the usage line and
+    ``argument --flag: must be <rule>, got '<value>'``, then exit 2.
+    """
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            pass
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {raw!r}")
+
+    return parse
+
+
+_positive = _flag_type(float, lambda v: math.isfinite(v) and v > 0.0, "a finite positive number")
+_nonnegative = _flag_type(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite nonnegative number")
+_auto_or_positive = _flag_type(
+    lambda raw: raw if raw == "auto" else float(raw),
+    lambda v: v == "auto" or (math.isfinite(v) and v > 0.0),
+    "'auto' or a finite positive number",
+)
+
+
+def _at_least(low: int):
+    return _flag_type(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+def _column(raw: str) -> int | str:
+    """A target column: a 0-based index when numeric, so it works headerless, else a name."""
     try:
-        value = float(raw)
+        return int(raw)
     except ValueError:
-        return None
-    if not np.isfinite(value) or value <= 0.0:
-        return None
-    return value
+        return raw
 
 
 def _build_transform(kind: str, alpha: float, y_bound: float) -> Transform:
@@ -140,57 +152,34 @@ def _dataset_echo(spec: DatasetSpec) -> dict:
     }
 
 
-def _save_model(path: str, weights: np.ndarray, transform: Transform) -> None:
-    payload = {
-        "weights": [float(w) for w in weights],
-        "transform": transform_to_dict(transform),
-    }
+def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_model(path: str) -> tuple[np.ndarray, Transform]:
+def _load_model(path: str) -> Model:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    weights = np.asarray([float(w) for w in payload["weights"]], dtype=float)
-    return weights, transform_from_dict(payload["transform"])
+    return Model(np.asarray(payload["weights"], dtype=float), transform_from_dict(payload["transform"]))
 
 
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="CSV file with features and a target column")
-    parser.add_argument("--target-column", default=None, help="target column name or 0-based index (default: last)")
+    parser.add_argument(
+        "--target-column", type=_column, default=None,
+        help="target column name or 0-based index (default: last)",
+    )
     parser.add_argument("--no-header", action="store_true", help="the CSV has no header row")
     parser.add_argument("--no-bias", action="store_true", help="do not append a constant 1.0 feature")
     parser.add_argument("--standardize", action="store_true", help="standardize feature columns (bias exempt)")
 
 
-def _normalize_target_column(args) -> None:
-    # Numeric strings become indices so "--target-column 2" works headerless.
-    if args.target_column is not None:
-        try:
-            args.target_column = int(args.target_column)
-        except ValueError:
-            pass
-
-
 def _cmd_fit(args) -> int:
     started = time.perf_counter()
-    if args.alpha <= 0.0:
-        return _fail_flags("--alpha must be positive")
-    if args.restarts < 1:
-        return _fail_flags("--restarts must be at least 1")
-    if args.max_iters < 1:
-        return _fail_flags("--max-iters must be at least 1")
-    if args.grad_tol <= 0.0:
-        return _fail_flags("--grad-tol must be positive")
-    y_bound = _parse_y_bound(args.y_bound, allow_auto=True)
-    if y_bound is None:
-        return _fail_flags("--y-bound must be 'auto' or a positive number")
-
-    _normalize_target_column(args)
     try:
         dataset, spec = _load_dataset(args)
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
+    y_bound = args.y_bound
     if y_bound == "auto":
         y_bound = estimate_target_bound(dataset, 1.0)
     transform = _build_transform(args.transform, args.alpha, y_bound)
@@ -201,15 +190,24 @@ def _cmd_fit(args) -> int:
     config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TargetBoundWarning)  # already recorded above
-        if args.restarts == 1:
-            reports = [gd_fit(dataset, transform, np.zeros(dataset.n_features), config)]
-        else:
-            reports = multi_restart_fit(dataset, transform, args.restarts, config)
+        try:
+            if args.restarts == 1:
+                reports = [gd_fit(dataset, transform, np.zeros(dataset.n_features), config)]
+            else:
+                reports = multi_restart_fit(dataset, transform, args.restarts, config)
+        except NonFiniteLossError as exc:
+            return _fail_data(f"{args.data}: {exc}")
 
     best_index = int(np.argmin([r.final_loss for r in reports]))
     best = reports[best_index]
     if args.out:
-        _save_model(args.out, best.final_weights, transform)
+        try:
+            _write_json(args.out, {
+                "weights": [float(w) for w in best.final_weights],
+                "transform": transform_to_dict(transform),
+            })
+        except OSError as exc:
+            return _fail_data(str(exc))
 
     config_echo = {
         **_dataset_echo(spec),
@@ -236,15 +234,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_predict(args) -> int:
     try:
-        weights, transform = _load_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
+        model = _load_model(args.model)
+    except (*_DATA_ERRORS, KeyError, TypeError) as exc:  # KeyError, TypeError: JSON of the wrong shape
         return _fail_data(f"cannot load model {args.model}: {exc}")
     try:
         features = load_feature_csv(args.data, has_header=not args.no_header)
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
-    d = weights.size
+    d = model.weights.size
     if features.shape[1] == d - 1:
         # Trained with a bias column: append it here too.
         features = np.column_stack([features, np.ones(features.shape[0])])
@@ -252,7 +250,7 @@ def _cmd_predict(args) -> int:
         return _fail_data(
             f"model has {d} weights but {args.data} has {features.shape[1]} columns"
         )
-    predictions = Model(weights, transform).predict(features)
+    predictions = model.predict(features)
     for value in predictions:
         print(repr(float(value)))
     return EXIT_OK
@@ -260,22 +258,14 @@ def _cmd_predict(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    if args.alpha <= 0.0:
-        return _fail_flags("--alpha must be positive")
-    if args.samples < 1:
-        return _fail_flags("--samples must be at least 1")
-    y_bound = _parse_y_bound(args.y_bound, allow_auto=False)
-    if y_bound is None:
-        return _fail_flags("--y-bound must be a positive number for verify")
-
-    transform = _build_transform(args.transform, args.alpha, y_bound)
-    checks = verification_battery(transform, y_bound, n_samples=args.samples, seed=args.seed)
+    transform = _build_transform(args.transform, args.alpha, args.y_bound)
+    checks = verification_battery(transform, args.y_bound, n_samples=args.samples, seed=args.seed)
     all_passed = all(check.passed for check in checks)
 
     config_echo = {
         "transform": args.transform,
         "alpha": args.alpha,
-        "y_bound": float(y_bound),
+        "y_bound": args.y_bound,
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -301,16 +291,6 @@ def _restart_summary(reports) -> dict:
 
 def _cmd_compare(args) -> int:
     started = time.perf_counter()
-    if args.restarts < 10:
-        return _fail_flags("--restarts must be at least 10 for compare")
-    if args.alpha <= 0.0:
-        return _fail_flags("--alpha must be positive")
-    if args.max_iters < 1:
-        return _fail_flags("--max-iters must be at least 1")
-    if args.grad_tol <= 0.0:
-        return _fail_flags("--grad-tol must be positive")
-
-    _normalize_target_column(args)
     try:
         dataset, spec = _load_dataset(args)
     except _DATA_ERRORS as exc:
@@ -323,7 +303,10 @@ def _cmd_compare(args) -> int:
         warnings.simplefilter("ignore", TargetBoundWarning)
         for kind in ("convex-sqrt", "tanh"):
             transform = _build_transform(kind, args.alpha, y_bound)
-            reports = multi_restart_fit(dataset, transform, args.restarts, config)
+            try:
+                reports = multi_restart_fit(dataset, transform, args.restarts, config)
+            except NonFiniteLossError as exc:
+                return _fail_data(f"{args.data}: {exc}")
             summary = _restart_summary(reports)
             summary["within_tolerance"] = summary["relative_spread"] <= 1e-6
             results[kind] = summary
@@ -345,19 +328,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_synth(args) -> int:
     started = time.perf_counter()
-    if args.n < 1:
-        return _fail_flags("--n must be at least 1")
-    if args.d < 1:
-        return _fail_flags("--d must be at least 1")
-    if args.noise < 0.0:
-        return _fail_flags("--noise must be nonnegative")
-    if args.alpha <= 0.0:
-        return _fail_flags("--alpha must be positive")
-    y_bound = _parse_y_bound(args.y_bound, allow_auto=False)
-    if y_bound is None:
-        return _fail_flags("--y-bound must be a positive number for synth")
-
-    transform = _build_transform(args.transform, args.alpha, y_bound)
+    transform = _build_transform(args.transform, args.alpha, args.y_bound)
     spec = SynthSpec(
         n_samples=args.n,
         n_features=args.d,
@@ -366,10 +337,6 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     dataset, true_weights = generate_synthetic(spec)
-    try:
-        write_csv(dataset, args.out)
-    except OSError as exc:
-        return _fail_data(str(exc))
     weights_file = str(Path(args.out).with_suffix(".weights.json"))
     companion = {
         "true_weights": [float(w) for w in true_weights],
@@ -379,7 +346,11 @@ def _cmd_synth(args) -> int:
         "noise_std": args.noise,
         "seed": args.seed,
     }
-    Path(weights_file).write_text(json.dumps(companion, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        write_csv(dataset, args.out)
+        _write_json(weights_file, companion)
+    except OSError as exc:
+        return _fail_data(str(exc))
 
     config_echo = {
         "n": args.n,
@@ -387,7 +358,7 @@ def _cmd_synth(args) -> int:
         "noise": args.noise,
         "transform": args.transform,
         "alpha": args.alpha,
-        "y_bound": float(y_bound),
+        "y_bound": args.y_bound,
         "seed": args.seed,
         "out": str(args.out),
     }
@@ -405,13 +376,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="fit a model by gradient descent")
     _add_dataset_flags(fit)
-    fit.add_argument("--transform", choices=["convex-sqrt", "affine", "tanh"], default="convex-sqrt")
-    fit.add_argument("--alpha", type=float, default=1.0, help="curvature rate (affine slope)")
-    fit.add_argument("--y-bound", default="auto", help="target bound Y, or 'auto' for max |y|")
-    fit.add_argument("--restarts", type=int, default=1)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--max-iters", type=int, default=10000)
-    fit.add_argument("--grad-tol", type=float, default=1e-8)
+    fit.add_argument("--transform", choices=_TRANSFORMS, default="convex-sqrt")
+    fit.add_argument("--alpha", type=_positive, default=1.0, help="curvature rate (affine slope)")
+    fit.add_argument(
+        "--y-bound", type=_auto_or_positive, default="auto", help="target bound Y, or 'auto' for max |y|"
+    )
+    fit.add_argument("--restarts", type=_at_least(1), default=1)
+    fit.add_argument("--seed", type=_at_least(0), default=0)
+    fit.add_argument("--max-iters", type=_at_least(1), default=10000)
+    fit.add_argument("--grad-tol", type=_positive, default=1e-8)
     fit.add_argument("--out", default=None, help="write the fitted model as JSON")
     fit.set_defaults(func=_cmd_fit)
 
@@ -422,30 +395,30 @@ def build_parser() -> argparse.ArgumentParser:
     predict.set_defaults(func=_cmd_predict)
 
     verify = sub.add_parser("verify", help="run the convexity check battery")
-    verify.add_argument("--transform", choices=["convex-sqrt", "affine", "tanh"], default="convex-sqrt")
-    verify.add_argument("--alpha", type=float, default=1.0)
-    verify.add_argument("--y-bound", default="1.0", help="target bound Y (numeric)")
-    verify.add_argument("--samples", type=int, default=10000)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--transform", choices=_TRANSFORMS, default="convex-sqrt")
+    verify.add_argument("--alpha", type=_positive, default=1.0)
+    verify.add_argument("--y-bound", type=_positive, default=1.0, help="target bound Y (numeric)")
+    verify.add_argument("--samples", type=_at_least(1), default=10000)
+    verify.add_argument("--seed", type=_at_least(0), default=0)
     verify.set_defaults(func=_cmd_verify)
 
     compare = sub.add_parser("compare", help="contrast restart dispersion: convex-sqrt vs tanh")
     _add_dataset_flags(compare)
-    compare.add_argument("--restarts", type=int, default=20)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--alpha", type=float, default=1.0)
-    compare.add_argument("--max-iters", type=int, default=10000)
-    compare.add_argument("--grad-tol", type=float, default=1e-8)
+    compare.add_argument("--restarts", type=_at_least(10), default=20)
+    compare.add_argument("--seed", type=_at_least(0), default=0)
+    compare.add_argument("--alpha", type=_positive, default=1.0)
+    compare.add_argument("--max-iters", type=_at_least(1), default=10000)
+    compare.add_argument("--grad-tol", type=_positive, default=1e-8)
     compare.set_defaults(func=_cmd_compare)
 
     synth = sub.add_parser("synth", help="generate a seeded synthetic dataset")
-    synth.add_argument("--n", type=int, required=True, help="number of samples")
-    synth.add_argument("--d", type=int, required=True, help="number of features")
-    synth.add_argument("--noise", type=float, default=0.0, help="pre-transform noise std")
-    synth.add_argument("--transform", choices=["convex-sqrt", "affine", "tanh"], default="convex-sqrt")
-    synth.add_argument("--alpha", type=float, default=1.0)
-    synth.add_argument("--y-bound", default="1.0")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--n", type=_at_least(1), required=True, help="number of samples")
+    synth.add_argument("--d", type=_at_least(1), required=True, help="number of features")
+    synth.add_argument("--noise", type=_nonnegative, default=0.0, help="pre-transform noise std")
+    synth.add_argument("--transform", choices=_TRANSFORMS, default="convex-sqrt")
+    synth.add_argument("--alpha", type=_positive, default=1.0)
+    synth.add_argument("--y-bound", type=_positive, default=1.0)
+    synth.add_argument("--seed", type=_at_least(0), default=0)
     synth.add_argument("--out", required=True, help="CSV output path")
     synth.set_defaults(func=_cmd_synth)
 

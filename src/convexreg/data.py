@@ -74,8 +74,18 @@ def _read_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, 
     coordinates.  The cells are converted in one numpy call; only if that
     fails are they scanned in row order to name the first bad cell.
     """
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        rows = list(enumerate(csv.reader(handle), start=1))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            rows = list(enumerate(csv.reader(handle), start=1))
+    except UnicodeDecodeError:
+        # The reader's offset is within one buffer; decode the whole file to place the byte.
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise CsvParseError(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8") from None
+        raise
     rows = [(line_no, row) for line_no, row in rows if any(cell.strip() for cell in row)]
     if not rows:
         raise CsvParseError(f"{path}: no data rows")
@@ -156,13 +166,17 @@ def load_csv(spec: DatasetSpec) -> Dataset:
         raise CsvParseError(f"{spec.path}: no feature columns remain after removing the target")
 
     if spec.standardize and features.shape[1] > 0:
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        zero_var = np.flatnonzero(std == 0.0)
-        if zero_var.size:
-            raise ValueError(
-                f"feature column {int(zero_var[0]) + 1} has zero variance and cannot be standardized"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = features.mean(axis=0)
+            std = features.std(axis=0)
+        for column, value in enumerate(std, start=1):
+            if value == 0.0:
+                reason = "has zero variance"
+            elif not np.isfinite(value):
+                reason = "has a standard deviation too large for float64"
+            else:
+                continue
+            raise ValueError(f"feature column {column} {reason} and cannot be standardized")
         features = (features - mean) / std
 
     if spec.add_bias:

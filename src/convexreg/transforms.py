@@ -12,7 +12,7 @@ All evaluation methods are elementwise and accept floats or numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -159,26 +159,19 @@ class TanhTransform:
 Transform = Union[ConvexSqrtTransform, AffineTransform, TanhTransform]
 
 
+_TRANSFORMS = {cls.kind: cls for cls in (ConvexSqrtTransform, AffineTransform, TanhTransform)}
+
+
 def transform_to_dict(transform: Transform) -> dict:
     """JSON-ready description of a transform (used by model files)."""
-    if isinstance(transform, ConvexSqrtTransform):
-        return {"kind": "convex-sqrt", "alpha": transform.alpha, "y_bound": transform.y_bound}
-    if isinstance(transform, AffineTransform):
-        return {"kind": "affine", "a": transform.a, "b": transform.b}
-    if isinstance(transform, TanhTransform):
-        return {"kind": "tanh", "scale": transform.scale}
-    raise TypeError(f"unknown transform type: {type(transform).__name__}")
+    return {"kind": transform.kind, **asdict(transform)}
 
 
 def transform_from_dict(payload: dict) -> Transform:
-    kind = payload.get("kind")
-    if kind == "convex-sqrt":
-        return ConvexSqrtTransform(alpha=float(payload["alpha"]), y_bound=float(payload["y_bound"]))
-    if kind == "affine":
-        return AffineTransform(a=float(payload["a"]), b=float(payload["b"]))
-    if kind == "tanh":
-        return TanhTransform(scale=float(payload["scale"]))
-    raise ValueError(f"unknown transform kind: {kind!r}")
+    cls = _TRANSFORMS.get(payload.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown transform kind: {payload.get('kind')!r}")
+    return cls(**{f.name: float(payload[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,71 @@ class TestCompare:
         assert "--restarts" in err
 
 
+DATA = "x,t\n0.1,0.2\n0.3,0.4\n-0.5,-0.6\n"
+
+
+class TestBadInput:
+    """Bad flags exit 2 through argparse; bad files exit 3; neither prints a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "--alpha", "nan"], "--alpha"),
+            (["fit", "--alpha", "inf"], "--alpha"),
+            (["fit", "--grad-tol", "nan"], "--grad-tol"),
+            (["fit", "--y-bound", "inf"], "--y-bound"),
+            (["fit", "--seed", "-1"], "--seed"),
+            (["compare", "--max-iters", "0"], "--max-iters"),
+            (["verify", "--alpha", "nan"], "--alpha"),
+            (["verify", "--samples", "0"], "--samples"),
+            (["synth", "--n", "5", "--d", "0"], "--d"),
+            (["synth", "--n", "5", "--d", "2", "--noise", "nan"], "--noise"),
+        ],
+        ids=["fit-alpha-nan", "fit-alpha-inf", "fit-grad-tol-nan", "fit-y-bound-inf",
+             "fit-seed-negative", "compare-max-iters-0", "verify-alpha-nan", "verify-samples-0",
+             "synth-d-0", "synth-noise-nan"],
+    )
+    def test_bad_flag_exits_2_naming_it(self, tmp_path, argv, flag):
+        (tmp_path / "d.csv").write_text(DATA)
+        extra = {"fit": ["--data", "d.csv"], "compare": ["--data", "d.csv"], "synth": ["--out", "s.csv"]}
+        code, out, err = run_cli(*argv, *extra.get(argv[0], []), cwd=tmp_path)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "files, argv, message",
+        [
+            ({"d.csv": "a,b,t\n1,1,2\n1,2,3\n1,5,1\n"},
+             ["fit", "--data", "d.csv", "--standardize"], "zero variance"),
+            ({"d.csv": "a,b,t\n1e308,1,2\n-1e308,2,3\n0,5,1\n"},
+             ["fit", "--data", "d.csv", "--standardize"], "feature column 1"),
+            ({"d.csv": b"a,t\n1,2\n\xff,3\n"}, ["fit", "--data", "d.csv"], "line 3"),
+            ({"d.csv": "a,t\n1,1e200\n2,-1e200\n"},
+             ["fit", "--data", "d.csv", "--y-bound", "3"], "loss at the starting point is inf"),
+            ({"d.csv": "a,t\n1,1e200\n2,-1e200\n"},
+             ["compare", "--data", "d.csv"], "loss at the starting point is inf"),
+            ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--out", "absent/m.json"], "absent"),
+            ({"f.csv": "x\n1\n", "m.json": '{"weights": ["nan"], "transform": {"kind": "tanh", "scale": 1}}'},
+             ["predict", "--model", "m.json", "--data", "f.csv"], "weights must be finite"),
+            ({"f.csv": "x\n1\n", "m.json": "[1.0]"},
+             ["predict", "--model", "m.json", "--data", "f.csv"], "cannot load model"),
+        ],
+        ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
+             "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object"],
+    )
+    def test_bad_data_exits_3(self, tmp_path, files, argv, message):
+        for name, content in files.items():
+            path = tmp_path / name
+            path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+        code, out, err = run_cli(*argv, cwd=tmp_path)
+        assert code == 3
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_pipeline_reports_identical_modulo_timing(self, tmp_path):
         outputs = []

@@ -1,5 +1,7 @@
 """Tests for CSV ingestion, synthetic generation, and target bounds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,20 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b,target\n1,2,3\n1,5,6\n")
         with pytest.raises(ValueError, match="zero variance"):
             load_csv(DatasetSpec(path, standardize=True))
+
+    def test_overflowing_std_rejected_quietly(self, tmp_path):
+        path = write(tmp_path, "a,b,t\n1,1e308,2\n2,-1e308,3\n5,0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not escape
+            with pytest.raises(ValueError, match="feature column 2 has a standard deviation"):
+                load_csv(DatasetSpec(path, standardize=True))
+
+    @both_loaders
+    def test_non_utf8_file_named_with_line(self, tmp_path, load):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xe94\n")  # past the first read buffer
+        with pytest.raises(CsvParseError, match=r"latin1\.csv: line 5002: byte 0xe9 is not UTF-8"):
+            load(path)
 
 
 class TestRoundTrip:

@@ -218,6 +218,17 @@ class TestSerialization:
     def test_round_trip(self, transform):
         assert transform_from_dict(transform_to_dict(transform)) == transform
 
+    @pytest.mark.parametrize(
+        "transform, payload",
+        [
+            (ConvexSqrtTransform(1.5, 2.5), {"kind": "convex-sqrt", "alpha": 1.5, "y_bound": 2.5}),
+            (AffineTransform(2.0, -1.0), {"kind": "affine", "a": 2.0, "b": -1.0}),
+            (TanhTransform(0.4), {"kind": "tanh", "scale": 0.4}),
+        ],
+    )
+    def test_model_file_fields(self, transform, payload):
+        assert transform_to_dict(transform) == payload
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             transform_from_dict({"kind": "sigmoid"})
