@@ -46,6 +46,7 @@ from .solver import (
 from .convexity import (
     ConvexityReport,
     DimensionTooLargeError,
+    NonFiniteHessianError,
     derivative_monotonicity_check,
     fd_hessian_psd_check,
     find_nonconvex_witness,
@@ -84,6 +85,7 @@ __all__ = [
     "InvalidGridError",
     "MissingTargetColumnError",
     "Model",
+    "NonFiniteHessianError",
     "NonFiniteLossError",
     "NonNumericCellError",
     "SingularSystemError",

@@ -6,7 +6,8 @@ are the only success/failure channel:
 
     0  success
     2  bad flags
-    3  data errors (unreadable/malformed files, dimension mismatches)
+    3  data errors (unreadable/malformed files, dimension mismatches,
+       losses too large for float64)
     4  fit did not converge (report still emitted)
     5  a convexity check failed (witnesses in the report)
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convexity import verification_battery
+from .convexity import NonFiniteHessianError, verification_battery
 from .data import (
     DatasetSpec,
     SynthSpec,
@@ -101,6 +102,10 @@ def _flag_type(convert, accept, rule: str):
 
 
 _positive = _flag_type(float, lambda v: math.isfinite(v) and v > 0.0, "a finite positive number")
+# verify draws targets from uniform(-Y, Y), whose width 2*Y must be finite too.
+_doubles_finite = _flag_type(
+    float, lambda v: v > 0.0 and math.isfinite(2.0 * v), "a positive number whose double is finite"
+)
 _nonnegative = _flag_type(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite nonnegative number")
 _auto_or_positive = _flag_type(
     lambda raw: raw if raw == "auto" else float(raw),
@@ -259,7 +264,10 @@ def _cmd_predict(args) -> int:
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     transform = _build_transform(args.transform, args.alpha, args.y_bound)
-    checks = verification_battery(transform, args.y_bound, n_samples=args.samples, seed=args.seed)
+    try:
+        checks = verification_battery(transform, args.y_bound, n_samples=args.samples, seed=args.seed)
+    except NonFiniteHessianError as exc:
+        return _fail_data(str(exc))
     all_passed = all(check.passed for check in checks)
 
     config_echo = {
@@ -336,20 +344,20 @@ def _cmd_synth(args) -> int:
         noise_std=args.noise,
         seed=args.seed,
     )
-    dataset, true_weights = generate_synthetic(spec)
     weights_file = str(Path(args.out).with_suffix(".weights.json"))
-    companion = {
-        "true_weights": [float(w) for w in true_weights],
-        "transform": transform_to_dict(transform),
-        "n_samples": args.n,
-        "n_features": args.d,
-        "noise_std": args.noise,
-        "seed": args.seed,
-    }
     try:
+        dataset, true_weights = generate_synthetic(spec)
+        companion = {
+            "true_weights": [float(w) for w in true_weights],
+            "transform": transform_to_dict(transform),
+            "n_samples": args.n,
+            "n_features": args.d,
+            "noise_std": args.noise,
+            "seed": args.seed,
+        }
         write_csv(dataset, args.out)
         _write_json(weights_file, companion)
-    except OSError as exc:
+    except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
     config_echo = {
@@ -397,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the convexity check battery")
     verify.add_argument("--transform", choices=_TRANSFORMS, default="convex-sqrt")
     verify.add_argument("--alpha", type=_positive, default=1.0)
-    verify.add_argument("--y-bound", type=_positive, default=1.0, help="target bound Y (numeric)")
+    verify.add_argument("--y-bound", type=_doubles_finite, default=1.0, help="target bound Y (numeric)")
     verify.add_argument("--samples", type=_at_least(1), default=10000)
     verify.add_argument("--seed", type=_at_least(0), default=0)
     verify.set_defaults(func=_cmd_verify)

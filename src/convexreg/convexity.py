@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _evaluate
+from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _losses
 from .transforms import InvalidGridError, Transform, UnsupportedTransformError
 
 _MAX_HESSIAN_DIM = 50
@@ -26,6 +26,10 @@ HESSIAN_STEP = 1e-5
 
 class DimensionTooLargeError(ValueError):
     """The dense finite-difference Hessian is limited to 50 dimensions."""
+
+
+class NonFiniteHessianError(ValueError):
+    """A finite-difference stencil loss or Hessian entry is not finite, so no PSD verdict exists."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,30 +177,62 @@ def derivative_monotonicity_check(
     )
 
 
-def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    features, targets = dataset.features, dataset.targets
+# Signs of (s_i, s_j) at the four corners of each cross-difference stencil.
+_CORNER_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
 
-    def value(point):
-        return _evaluate(features, targets, transform, point)[2]
 
+def _stencil(w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The ``1 + 2d^2`` central-difference points as rows.
+
+    Row 0 is w; then ``w + s_i e_i`` and ``w - s_i e_i`` for each i; then,
+    for each pair i < j in row-major order, ``w ± s_i e_i ± s_j e_j`` at
+    the corners (+, +), (+, -), (-, +), (-, -).  Entries not stepped are
+    ``w + 0.0``; a stepped entry is ``w_i ± s_i``.
+    """
     d = w.size
+    rows, cols = np.triu_indices(d, 1)
+    points = np.tile(w + 0.0, (1 + 2 * d * d, 1))
+    points[0] = w
+    axial = points[1 : 1 + 2 * d].reshape(d, 2, d)
+    diagonal = np.arange(d)
+    axial[diagonal, 0, diagonal] = w + steps
+    axial[diagonal, 1, diagonal] = w - steps
+    corners = points[1 + 2 * d :].reshape(rows.size, 4, d)
+    pair = np.arange(rows.size)
+    corners[pair, :, rows] = w[rows, None] + _CORNER_SIGNS[0] * steps[rows, None]
+    corners[pair, :, cols] = w[cols, None] + _CORNER_SIGNS[1] * steps[cols, None]
+    return points
+
+
+def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Central-difference Hessian of the total loss from the losses at :func:`_stencil`.
+
+    Raises NonFiniteHessianError when a stencil loss or an entry is not finite.
+    """
+    losses = _losses(dataset.features, dataset.targets, transform, _stencil(w, steps))
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if bad.size:
+        raise NonFiniteHessianError(
+            f"the loss is not finite at {bad.size} of {losses.size} finite-difference "
+            f"stencil points (first: {float(losses[bad[0]])!r} at point {int(bad[0])})"
+        )
+    d = w.size
+    base = losses[0]
+    plus, minus = losses[1 : 1 + 2 * d].reshape(d, 2).T
+    corners = losses[1 + 2 * d :].reshape(-1, 4).T
+    rows, cols = np.triu_indices(d, 1)
     hessian = np.empty((d, d))
-    base = value(w)
-    for i in range(d):
-        e_i = np.zeros(d)
-        e_i[i] = steps[i]
-        hessian[i, i] = (value(w + e_i) - 2.0 * base + value(w - e_i)) / (steps[i] * steps[i])
-        for j in range(i + 1, d):
-            e_j = np.zeros(d)
-            e_j[j] = steps[j]
-            cross = (
-                value(w + e_i + e_j)
-                - value(w + e_i - e_j)
-                - value(w - e_i + e_j)
-                + value(w - e_i - e_j)
-            ) / (4.0 * steps[i] * steps[j])
-            hessian[i, j] = cross
-            hessian[j, i] = cross
+    with np.errstate(over="ignore", invalid="ignore"):
+        hessian[np.diag_indices(d)] = (plus - 2.0 * base + minus) / (steps * steps)
+        cross = (corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * steps[rows] * steps[cols])
+    hessian[rows, cols] = cross
+    hessian[cols, rows] = cross
+    if not np.all(np.isfinite(hessian)):
+        i, j = np.argwhere(~np.isfinite(hessian))[0]
+        raise NonFiniteHessianError(
+            f"finite-difference Hessian entry ({i}, {j}) is {float(hessian[i, j])!r}: "
+            "the stencil losses are too large, or the steps too small, to difference"
+        )
     return hessian
 
 
@@ -214,7 +250,8 @@ def fd_hessian_psd_check(
     build the full symmetric matrix; it is symmetrized as (H + H^T)/2 and
     its minimum eigenvalue, normalized by ``1 + max |H entry|``, is the
     reported slack.  The witness pairs w with the offending eigenvector.
-    Dense eigensolve, so the dimension is capped at 50.
+    Dense eigensolve, so the dimension is capped at 50.  Raises
+    NonFiniteHessianError when a stencil loss or an entry is not finite.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size != dataset.n_features:

@@ -55,22 +55,33 @@ class ConvexSqrtTransform:
         object.__setattr__(self, "alpha", _finite_positive(self.alpha, "alpha"))
         object.__setattr__(self, "y_bound", _finite_positive(self.y_bound, "y_bound"))
 
-    def _root(self, z):
-        """sqrt(alpha*|z| + 1), rescaled hypot-style where the radicand overflows."""
+    def _root(self, z) -> np.ndarray:
+        """sqrt(alpha*|z| + 1), rescaled hypot-style where the radicand overflows.
+
+        Returns a new array (0-d for scalar z) that callers finish in place;
+        they unwrap it with ``[()]`` so scalars stay scalars.
+        """
         with np.errstate(over="ignore"):
-            root = np.sqrt(self.alpha * np.abs(z) + 1.0)
+            root = np.asarray(self.alpha * np.abs(z))
+        root += 1.0
+        np.sqrt(root, out=root)
         overflowed = np.isinf(root)
         if overflowed.any():
-            # An infinite z stays infinite under the rescale; [()] keeps scalars scalar.
-            root = np.where(overflowed, np.sqrt(self.alpha) * np.sqrt(np.abs(z)), root)[()]
+            # An infinite z stays infinite under the rescale.
+            root = np.where(overflowed, np.sqrt(self.alpha) * np.sqrt(np.abs(z)), root)
         return root
 
     def evaluate(self, z):
+        value = self._root(z)
+        value -= 1.0
+        value *= self.y_bound
         # sign(z) * f(|z|) keeps odd symmetry exact in floating point.
-        return np.sign(z) * (self.y_bound * (self._root(z) - 1.0))
+        return np.multiply(np.sign(z), value, out=value)[()]
 
     def derivative(self, z):
-        return self.y_bound * self.alpha / (2.0 * self._root(z))
+        root = self._root(z)
+        root *= 2.0
+        return np.divide(self.y_bound * self.alpha, root, out=root)[()]
 
     def second_derivative(self, z):
         raise UnsupportedTransformError(

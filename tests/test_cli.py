@@ -254,10 +254,11 @@ class TestBadInput:
             (["verify", "--samples", "0"], "--samples"),
             (["synth", "--n", "5", "--d", "0"], "--d"),
             (["synth", "--n", "5", "--d", "2", "--noise", "nan"], "--noise"),
+            (["verify", "--y-bound", "1e308"], "--y-bound"),
         ],
         ids=["fit-alpha-nan", "fit-alpha-inf", "fit-grad-tol-nan", "fit-y-bound-inf",
              "fit-seed-negative", "compare-max-iters-0", "verify-alpha-nan", "verify-samples-0",
-             "synth-d-0", "synth-noise-nan"],
+             "synth-d-0", "synth-noise-nan", "verify-y-bound-huge"],
     )
     def test_bad_flag_exits_2_naming_it(self, tmp_path, argv, flag):
         (tmp_path / "d.csv").write_text(DATA)
@@ -285,9 +286,12 @@ class TestBadInput:
              ["predict", "--model", "m.json", "--data", "f.csv"], "weights must be finite"),
             ({"f.csv": "x\n1\n", "m.json": "[1.0]"},
              ["predict", "--model", "m.json", "--data", "f.csv"], "cannot load model"),
+            ({}, ["verify", "--alpha", "1e308"], "the loss is not finite"),
+            ({}, ["synth", "--n", "5", "--d", "2", "--noise", "1e308", "--out", "s.csv"], "must be finite"),
         ],
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
-             "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object"],
+             "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
+             "verify-alpha-huge", "synth-noise-huge"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):
         for name, content in files.items():
@@ -298,6 +302,14 @@ class TestBadInput:
         assert out == ""
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_overflowing_loss_prints_only_the_error(self, tmp_path, command):
+        (tmp_path / "d.csv").write_text("a,t\n1,1e200\n2,-1e200\n")
+        code, out, err = run_cli(command, "--data", "d.csv", cwd=tmp_path)
+        assert code == 3
+        assert out == ""
+        assert err == "error: d.csv: loss at the starting point is inf\n"  # no RuntimeWarning
 
 
 class TestDeterminism:

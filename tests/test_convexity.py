@@ -1,5 +1,10 @@
 """Tests for the convexity certification lab."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -11,12 +16,15 @@ from convexreg import (
     DimensionTooLargeError,
     InvalidGridError,
     Model,
+    NonFiniteHessianError,
+    SynthSpec,
     TanhTransform,
     UnsupportedTransformError,
     derivative_monotonicity_check,
     dloss_dz,
     fd_hessian_psd_check,
     find_nonconvex_witness,
+    generate_synthetic,
     graded_grid,
     loss_z,
     midpoint_convexity_check,
@@ -24,7 +32,9 @@ from convexreg import (
     total_loss,
     verification_battery,
 )
-from convexreg.convexity import _fd_hessian
+from convexreg import loss
+from convexreg.convexity import _fd_hessian, _stencil
+from convexreg.loss import _evaluate, _losses
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 TANH1 = TanhTransform(1.0)
@@ -176,6 +186,120 @@ class TestHessianCheck:
         dataset = Dataset(rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, 10))
         with pytest.raises(DimensionMismatchError):
             fd_hessian_psd_check(dataset, CS11, np.zeros(2))
+
+
+def per_point_fd_hessian(dataset, transform, w, steps):
+    """The central-difference Hessian with one mat-vec loss evaluation per stencil point."""
+
+    def value(point):
+        return _evaluate(dataset.features, dataset.targets, transform, point)[2]
+
+    d = w.size
+    hessian = np.empty((d, d))
+    base = value(w)
+    for i in range(d):
+        e_i = np.zeros(d)
+        e_i[i] = steps[i]
+        hessian[i, i] = (value(w + e_i) - 2.0 * base + value(w - e_i)) / (steps[i] * steps[i])
+        for j in range(i + 1, d):
+            e_j = np.zeros(d)
+            e_j[j] = steps[j]
+            hessian[i, j] = hessian[j, i] = (
+                value(w + e_i + e_j) - value(w + e_i - e_j) - value(w - e_i + e_j) + value(w - e_i - e_j)
+            ) / (4.0 * steps[i] * steps[j])
+    return hessian
+
+
+def hessian_problem(n, d, seed):
+    generated, weights = generate_synthetic(SynthSpec(n, d, CS11, 0.05, seed=seed))
+    w = weights + np.random.default_rng(seed).uniform(-0.5, 0.5, d)
+    return generated, w, 1e-5 * (1.0 + np.abs(w))
+
+
+# Prints the bytes of the stencil losses at 2,621 x 20 (801 points in blocks
+# of 49).  Unpadded, 2,621 samples leave a partial GEMM tile whose place
+# depends on the thread split, and OpenBLAS's bits change with it.
+_STENCIL_PROBE = textwrap.dedent(
+    """
+    from convexreg import ConvexSqrtTransform, SynthSpec, generate_synthetic
+    from convexreg.convexity import _stencil
+    from convexreg.loss import _losses
+
+    generated, w = generate_synthetic(SynthSpec(2621, 20, ConvexSqrtTransform(1.0, 1.0), 0.05, seed=9))
+    points = _stencil(w, 1e-5 * (1.0 + abs(w)))
+    print(_losses(generated.features, generated.targets, ConvexSqrtTransform(1.0, 3.0), points).tobytes().hex())
+    """
+)
+
+
+class TestBlockedStencil:
+    """The stencil losses come from row blocks of one GEMM each."""
+
+    @pytest.mark.parametrize("transform", [ConvexSqrtTransform(1.0, 3.0), TanhTransform(2.0), AffineTransform(1.5, 0.2)],
+                             ids=repr)
+    def test_matches_per_point_reference(self, transform):
+        dataset, w, steps = hessian_problem(500, 6, seed=31)
+        hessian = _fd_hessian(dataset, transform, w, steps)
+        reference = per_point_fd_hessian(dataset, transform, w, steps)
+        losses = [_evaluate(dataset.features, dataset.targets, transform, p)[2] for p in _stencil(w, steps)]
+        # Each of the four losses in an entry may differ from its mat-vec value
+        # by a few ulps of the largest loss, since a GEMM rounds z differently.
+        bound = 16.0 * np.finfo(float).eps * max(np.abs(losses)) / np.outer(steps, steps)
+        assert np.all(np.abs(hessian - reference) <= bound)
+        # Far below the entries themselves, so a misplaced or mis-signed point shows.
+        assert bound.max() < 1e-4 * np.abs(reference).max()
+
+    def test_stencil_rows(self):
+        w, steps = np.array([1.0, -0.0, 2.0]), np.array([0.5, 0.25, 0.125])
+        points = _stencil(w, steps)
+        assert points.shape == (19, 3)
+        expected = [w]
+        for i in range(3):
+            for sign in (1.0, -1.0):
+                expected.append(w + 0.0 + sign * steps[i] * np.eye(3)[i])
+        for i in range(3):
+            for j in range(i + 1, 3):
+                for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                    expected.append(w + 0.0 + si * steps[i] * np.eye(3)[i] + sj * steps[j] * np.eye(3)[j])
+        assert np.array_equal(points, np.array(expected))
+
+    def test_same_bytes_for_every_block_split(self, monkeypatch):
+        # At 1,000 x 4 a one-row product (gemv) changes the last point's bits.
+        dataset, w, steps = hessian_problem(1000, 4, seed=32)
+        points = _stencil(w, steps)  # 33 points
+        transform = ConvexSqrtTransform(1.0, 3.0)
+        padded_rows = 1024
+        monkeypatch.setattr(loss, "_BLOCK_ELEMENTS", padded_rows * points.shape[0])
+        whole = _losses(dataset.features, dataset.targets, transform, points)
+        # Blocks of 1 (raised to 2) to 32 rows; 2, 4, 8, 16 and 32 would leave a last block of one point.
+        for rows in range(1, points.shape[0]):
+            monkeypatch.setattr(loss, "_BLOCK_ELEMENTS", padded_rows * rows)
+            split = _losses(dataset.features, dataset.targets, transform, points)
+            assert split.tobytes() == whole.tobytes(), rows
+
+    def test_same_bytes_at_one_and_two_blas_threads(self):
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _STENCIL_PROBE],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_non_finite_loss_raises(self):
+        dataset = Dataset(np.array([[1.0], [2.0]]), np.array([1e200, -1e200]))
+        with pytest.raises(NonFiniteHessianError, match="loss is not finite at 3 of 3"):
+            fd_hessian_psd_check(dataset, CS11, np.array([0.5]))
+
+    def test_non_finite_entry_raises(self):
+        # The steps square to zero: finite losses, 0/0 entries.
+        dataset = Dataset(np.array([[1.0, 0.5], [2.0, -1.0]]), np.array([0.3, -0.2]))
+        with pytest.raises(NonFiniteHessianError, match=r"entry \(0, 0\) is nan"):
+            fd_hessian_psd_check(dataset, CS11, np.array([0.5, 1.0]), fd_step=1e-300)
 
 
 class TestWitnessSearch:

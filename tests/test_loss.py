@@ -1,5 +1,8 @@
 """Tests for the composed squared loss and its derivatives."""
 
+import copy
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from convexreg import (
     total_gradient,
     total_loss,
 )
+from convexreg.loss import _evaluate
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 
@@ -52,6 +56,102 @@ def closed_form_dloss(alpha, y_bound, z, y):
     positive = alpha * y_bound**2 - alpha * y_bound * (y_bound + y) / root
     negative = -alpha * y_bound**2 + alpha * y_bound * (y_bound - y) / root
     return np.where(np.asarray(z, dtype=float) >= 0, positive, negative)
+
+
+# Inputs the elementwise kernels must take without writing to them: scalars,
+# 0-d, 1-D, 2-D, strided, float32 and int arrays, holding signed zeros,
+# subnormals, values near the float64 limit, infinities and nan.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-3, -3.5, 123.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+KERNEL_INPUTS = {
+    "float": 2.5,
+    "huge-float": -1e308,
+    "int": 3,
+    "numpy-int": np.int64(-7),
+    "0-d": np.array(1e308),
+    "0-d-negative-zero": np.array(-0.0),
+    "1-D": np.array(_SPECIAL),
+    "2-D": np.array(_SPECIAL).reshape(3, 4),
+    "strided": np.repeat(_SPECIAL, 2)[::2],
+    "float32": np.array([0.0, -0.0, 1e-45, 1e38, -3.4e38, np.inf, np.nan, -2.0], dtype=np.float32),
+    "int-array": np.array([-3, 0, 2, 10**15]),
+}
+KERNEL_TRANSFORMS = [
+    ConvexSqrtTransform(1.0, 1.0),
+    ConvexSqrtTransform(10.0, 3.0),
+    ConvexSqrtTransform(1e308, 1.0),
+    ConvexSqrtTransform(1e-300, 2.0),
+]
+
+
+def reference_root(t, z):
+    """The out-of-place convex-sqrt root: one new array per operation."""
+    with np.errstate(over="ignore"):
+        root = np.sqrt(t.alpha * np.abs(z) + 1.0)
+    overflowed = np.isinf(root)
+    if overflowed.any():
+        root = np.where(overflowed, np.sqrt(t.alpha) * np.sqrt(np.abs(z)), root)[()]
+    return root
+
+
+def assert_same_value(actual, expected):
+    """Same type, dtype, shape and bytes (nan payloads and signed zeros included)."""
+    assert type(actual) is type(expected)
+    assert np.asarray(actual).dtype == np.asarray(expected).dtype
+    assert np.shape(actual) == np.shape(expected)
+    assert np.asarray(actual).tobytes() == np.asarray(expected).tobytes()
+
+
+class TestInPlaceKernels:
+    """The kernels finish their new arrays in place: the out-of-place bits and types, inputs untouched."""
+
+    @pytest.mark.parametrize("name", KERNEL_INPUTS)
+    @pytest.mark.parametrize("t", KERNEL_TRANSFORMS, ids=repr)
+    def test_convex_sqrt_matches_out_of_place_formula(self, t, name):
+        z = KERNEL_INPUTS[name]
+        before = copy.deepcopy(z)
+        with np.errstate(all="ignore"):
+            expected_value = np.sign(z) * (t.y_bound * (reference_root(t, z) - 1.0))
+            expected_slope = t.y_bound * t.alpha / (2.0 * reference_root(t, z))
+            value, slope = t.evaluate(z), t.derivative(z)
+        assert_same_value(value, expected_value)
+        assert_same_value(slope, expected_slope)
+        assert_same_value(z, before)
+
+    @pytest.mark.parametrize("y", [0.5, np.float64(-2.0), 3, np.linspace(-1.0, 1.0, 12).reshape(3, 4)],
+                             ids=["float", "numpy-float", "int", "array"])
+    @pytest.mark.parametrize("name", KERNEL_INPUTS)
+    @pytest.mark.parametrize("t", [CS11, AffineTransform(2.0, 0.5), TanhTransform(1.5)], ids=repr)
+    def test_loss_z_matches_out_of_place_formula(self, t, name, y):
+        z = KERNEL_INPUTS[name]
+        if np.ndim(y) and np.ndim(z) and np.shape(z) != np.shape(y):
+            z = np.resize(z, np.shape(y))  # broadcastable, same values
+        before_z, before_y = copy.deepcopy(z), copy.deepcopy(y)
+        with np.errstate(all="ignore"):
+            residual = t.evaluate(z) - y
+            expected = residual * residual
+            actual = loss_z(t, z, y)
+        assert_same_value(actual, expected)
+        assert_same_value(z, before_z)
+        assert_same_value(y, before_y)
+
+    @pytest.mark.parametrize("t", [CS11, AffineTransform(2.0, 0.5), TanhTransform(1.5)], ids=repr)
+    def test_dataset_kernel_matches_out_of_place_formula(self, t):
+        rng = np.random.default_rng(210)
+        features, targets = rng.normal(size=(40, 3)), rng.normal(size=40)
+        targets[:3] = [1e200, -1e200, 0.0]
+        frozen = features.copy(), targets.copy()
+        for w in (rng.normal(size=3), np.zeros(3), np.full(3, 1e200)):
+            with np.errstate(all="ignore"):
+                z = features @ w
+                residual = t.evaluate(z) - targets
+                expected = (z, residual, float(np.sum(residual * residual)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an overflowing loss is inf without a RuntimeWarning
+                actual = _evaluate(features, targets, t, w)
+            for got, want in zip(actual, expected):
+                assert_same_value(got, want)
+        assert_same_value(features, frozen[0])
+        assert_same_value(targets, frozen[1])
 
 
 class TestLossZ:
