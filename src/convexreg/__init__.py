@@ -46,6 +46,7 @@ from .solver import (
 from .convexity import (
     ConvexityReport,
     DimensionTooLargeError,
+    NonFiniteCheckError,
     NonFiniteHessianError,
     derivative_monotonicity_check,
     fd_hessian_psd_check,
@@ -85,6 +86,7 @@ __all__ = [
     "InvalidGridError",
     "MissingTargetColumnError",
     "Model",
+    "NonFiniteCheckError",
     "NonFiniteHessianError",
     "NonFiniteLossError",
     "NonNumericCellError",

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .convexity import NonFiniteHessianError, verification_battery
+from .convexity import NonFiniteCheckError, verification_battery
 from .data import (
     DatasetSpec,
     SynthSpec,
@@ -266,7 +266,7 @@ def _cmd_verify(args) -> int:
     transform = _build_transform(args.transform, args.alpha, args.y_bound)
     try:
         checks = verification_battery(transform, args.y_bound, n_samples=args.samples, seed=args.seed)
-    except NonFiniteHessianError as exc:
+    except NonFiniteCheckError as exc:
         return _fail_data(str(exc))
     all_passed = all(check.passed for check in checks)
 

@@ -23,12 +23,21 @@ MONOTONICITY_TOL = 1e-9
 HESSIAN_TOL = 1e-5
 HESSIAN_STEP = 1e-5
 
+# Triples the midpoint check draws and judges at a time.  A chunk's dozen
+# 128 KB arrays fit in a core's L2 cache, so its elementwise passes do not
+# go out to memory.
+_CHUNK = 2**14
+
 
 class DimensionTooLargeError(ValueError):
     """The dense finite-difference Hessian is limited to 50 dimensions."""
 
 
-class NonFiniteHessianError(ValueError):
+class NonFiniteCheckError(ValueError):
+    """A sampled loss or loss derivative is not finite, so the check has no verdict."""
+
+
+class NonFiniteHessianError(NonFiniteCheckError):
     """A finite-difference stencil loss or Hessian entry is not finite, so no PSD verdict exists."""
 
 
@@ -109,9 +118,12 @@ def midpoint_convexity_check(
     """Sample the chord inequality ``l(mid) <= lam*l(z1) + (1-lam)*l(z2)``.
 
     Draws ``n_samples`` i.i.d. triples (z1, z2, lam) with z1, z2 uniform on
-    ``z_range`` and lam uniform on [0, 1].  Slack is normalized by
+    ``z_range`` and lam uniform on [0, 1]: all z1, then all z2, then all
+    lam from ``default_rng(seed)``.  Slack is normalized by
     ``1 + max loss in the triple`` so ``tol`` is a dimensionless allowance
-    for rounding.
+    for rounding.  The triples are drawn and judged in chunks, so memory
+    does not grow with ``n_samples``.  Raises NonFiniteCheckError at the
+    first triple with a loss that is not finite.
     """
     lo, hi = float(z_range[0]), float(z_range[1])
     if not lo < hi:
@@ -121,24 +133,49 @@ def midpoint_convexity_check(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    rng = np.random.default_rng(seed)
-    z1 = rng.uniform(lo, hi, n_samples)
-    z2 = rng.uniform(lo, hi, n_samples)
-    lam = rng.uniform(0.0, 1.0, n_samples)
+    # One copy of the stream per variable, each jumped ahead to where the
+    # one-stream draw would start it, so chunks draw the same numbers.
+    state = np.random.default_rng(seed).bit_generator.state
+    streams = []
+    for offset in (0, n_samples, 2 * n_samples):
+        bits = np.random.PCG64()
+        bits.state = state
+        streams.append(np.random.Generator(bits.advance(offset)))
+    z1_rng, z2_rng, lam_rng = streams
 
-    l1 = loss_z(transform, z1, y)
-    l2 = loss_z(transform, z2, y)
-    lmid = loss_z(transform, lam * z1 + (1.0 - lam) * z2, y)
-    scale = 1.0 + np.maximum(np.maximum(l1, l2), lmid)
-    slack = (lam * l1 + (1.0 - lam) * l2 - lmid) / scale
-
-    idx = int(np.argmin(slack))
-    worst = float(slack[idx])
+    worst = witness = None
+    for start in range(0, n_samples, _CHUNK):
+        size = min(_CHUNK, n_samples - start)
+        z1 = z1_rng.uniform(lo, hi, size)
+        z2 = z2_rng.uniform(lo, hi, size)
+        lam = lam_rng.uniform(0.0, 1.0, size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            l1 = loss_z(transform, z1, y)
+            l2 = loss_z(transform, z2, y)
+            lmid = loss_z(transform, lam * z1 + (1.0 - lam) * z2, y)
+            scale = 1.0 + np.maximum(np.maximum(l1, l2), lmid)
+            slack = (lam * l1 + (1.0 - lam) * l2 - lmid) / scale
+        # np.maximum propagates nan: the scale is finite iff the three losses are,
+        # and then no slack is nan.
+        finite = np.isfinite(scale)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteCheckError(
+                f"the loss is not finite at sampled triple {start + i} of {n_samples} "
+                f"for y = {float(y)!r}: "
+                f"(z1, z2, lam) = ({float(z1[i])!r}, {float(z2[i])!r}, {float(lam[i])!r}) gives "
+                f"losses ({float(l1[i])!r}, {float(l2[i])!r}, {float(lmid[i])!r})"
+            )
+        # Strictly below: a tie keeps the earlier triple, as one argmin would.
+        idx = int(np.argmin(slack))
+        if witness is None or slack[idx] < worst:
+            worst = float(slack[idx])
+            witness = (float(z1[idx]), float(z2[idx]), float(lam[idx]))
     return ConvexityReport(
         check_name=check_name,
         passed=worst >= -tol,
         worst_violation=worst,
-        witness=(float(z1[idx]), float(z2[idx]), float(lam[idx])),
+        witness=witness,
         samples_tested=n_samples,
     )
 
@@ -154,7 +191,8 @@ def derivative_monotonicity_check(
 
     A nondecreasing derivative of a continuously differentiable function
     is equivalent to convexity, so the most negative successive difference
-    of ``dloss_dz`` over the grid is the reported slack.
+    of ``dloss_dz`` over the grid is the reported slack.  Raises
+    NonFiniteCheckError when a derivative or a difference is not finite.
     """
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -164,8 +202,15 @@ def derivative_monotonicity_check(
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    values = dloss_dz(transform, grid, y)
-    diffs = np.diff(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.diff(dloss_dz(transform, grid, y))
+    finite = np.isfinite(diffs)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteCheckError(
+            f"the loss derivative in z, or its difference, is not finite between "
+            f"z = {float(grid[i])!r} and z = {float(grid[i + 1])!r} for y = {float(y)!r}"
+        )
     idx = int(np.argmin(diffs))
     worst = float(diffs[idx])
     return ConvexityReport(

@@ -32,7 +32,7 @@ TERMINATION_STALLED = "line_search_stalled"
 
 
 class NonFiniteLossError(ValueError):
-    """The loss at the starting point is not finite."""
+    """The loss, or its gradient norm, at the starting point is not finite."""
 
 
 class SingularSystemError(ValueError):
@@ -117,6 +117,9 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     One iteration costs one gradient reduction, which reuses the response
     and residual of the trial point accepted last, plus one mat-vec and
     one transform evaluation per line-search trial.
+
+    Raises NonFiniteLossError when the loss, or the gradient norm, at the
+    starting point is not finite: no step from there can be judged.
     """
     if config is None:
         config = SolverConfig()
@@ -133,6 +136,9 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     z, residual, loss = _evaluate(features, targets, transform, w)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss at the starting point is {loss!r}")
+    grad, grad_norm = _gradient_and_norm(features, transform, z, residual)
+    if not np.isfinite(grad_norm):
+        raise NonFiniteLossError(f"gradient norm at the starting point is {grad_norm!r}")
 
     trace = [loss]
     iterations = 0
@@ -142,8 +148,6 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     step = config.init_step * config.backtrack_factor
 
     for _ in range(config.max_iters):
-        grad = _gradient(features, transform, z, residual)
-        grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= config.grad_tol * (1.0 + abs(loss)):
             termination = TERMINATION_CONVERGED
             break
@@ -172,18 +176,23 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
         w, z, residual, loss = w_try, z_try, residual_try, loss_try
         trace.append(loss)
         iterations += 1
-    else:
-        termination = TERMINATION_MAX_ITERS
+        grad, grad_norm = _gradient_and_norm(features, transform, z, residual)
 
-    final_grad = _gradient(features, transform, z, residual)
     return FitReport(
         final_weights=_frozen(w),
         final_loss=float(loss),
-        final_grad_norm=float(np.linalg.norm(final_grad)),
+        final_grad_norm=grad_norm,
         iterations=iterations,
         termination=termination,
         loss_trace=_frozen(np.asarray(trace)),
     )
+
+
+def _gradient_and_norm(features, transform, z, residual) -> tuple[np.ndarray, float]:
+    """The loss gradient and its 2-norm, which is inf, without a RuntimeWarning, when it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = _gradient(features, transform, z, residual)
+        return grad, float(np.linalg.norm(grad))
 
 
 def _cholesky_with_pivots(matrix: np.ndarray) -> np.ndarray:

@@ -288,10 +288,12 @@ class TestBadInput:
              ["predict", "--model", "m.json", "--data", "f.csv"], "cannot load model"),
             ({}, ["verify", "--alpha", "1e308"], "the loss is not finite"),
             ({}, ["synth", "--n", "5", "--d", "2", "--noise", "1e308", "--out", "s.csv"], "must be finite"),
+            ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--alpha", "1e308"],
+             "gradient norm at the starting point is inf"),
         ],
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
              "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
-             "verify-alpha-huge", "synth-noise-huge"],
+             "verify-alpha-huge", "synth-noise-huge", "fit-alpha-huge"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):
         for name, content in files.items():
@@ -310,6 +312,18 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert err == "error: d.csv: loss at the starting point is inf\n"  # no RuntimeWarning
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--alpha", "1e308"], ["verify", "--y-bound", "1e307"], ["fit", "--data", "d.csv", "--alpha", "1e308"]],
+        ids=["verify-alpha-huge", "verify-y-bound-huge", "fit-alpha-huge"],
+    )
+    def test_huge_flag_prints_only_the_error(self, tmp_path, argv):
+        (tmp_path / "d.csv").write_text(DATA)
+        code, out, err = run_cli(*argv, cwd=tmp_path)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1  # no RuntimeWarning
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ import pytest
 from convexreg import (
     AffineTransform,
     ConvexSqrtTransform,
+    ConvexityReport,
     Dataset,
     DimensionMismatchError,
     DimensionTooLargeError,
     InvalidGridError,
     Model,
+    NonFiniteCheckError,
     NonFiniteHessianError,
     SynthSpec,
     TanhTransform,
@@ -33,7 +36,7 @@ from convexreg import (
     verification_battery,
 )
 from convexreg import loss
-from convexreg.convexity import _fd_hessian, _stencil
+from convexreg.convexity import _CHUNK, _fd_hessian, _stencil
 from convexreg.loss import _evaluate, _losses
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
@@ -104,6 +107,136 @@ class TestMidpointCheck:
         assert a.to_dict() == b.to_dict()
 
 
+def draw_triples(rng, z_range, n_samples):
+    """All z1, then all z2, then all lam, from one stream."""
+    z1 = rng.uniform(z_range[0], z_range[1], n_samples)
+    z2 = rng.uniform(z_range[0], z_range[1], n_samples)
+    return z1, z2, rng.uniform(0.0, 1.0, n_samples)
+
+
+def one_shot_midpoint(transform, y, z_range, n_samples, rng, tol=1e-9):
+    """The chord-inequality check with every triple drawn and judged in one pass."""
+    z1, z2, lam = draw_triples(rng, z_range, n_samples)
+    l1 = loss_z(transform, z1, y)
+    l2 = loss_z(transform, z2, y)
+    lmid = loss_z(transform, lam * z1 + (1.0 - lam) * z2, y)
+    scale = 1.0 + np.maximum(np.maximum(l1, l2), lmid)
+    slack = (lam * l1 + (1.0 - lam) * l2 - lmid) / scale
+    idx = int(np.argmin(slack))
+    worst = float(slack[idx])
+    witness = (float(z1[idx]), float(z2[idx]), float(lam[idx]))
+    return ConvexityReport("midpoint_convexity", worst >= -tol, worst, witness, n_samples)
+
+
+def midpoints(seed, n_samples):
+    """The midpoints ``lam*z1 + (1-lam)*z2`` of the triples drawn on (-100, 100)."""
+    z1, z2, lam = draw_triples(np.random.default_rng(seed), (-100.0, 100.0), n_samples)
+    return lam * z1 + (1.0 - lam) * z2
+
+
+class SpikedTransform:
+    """g(z) = 0, except at each listed z, where g takes the listed value."""
+
+    def __init__(self, spikes):
+        self.spikes = spikes
+
+    def evaluate(self, z):
+        z = np.asarray(z, dtype=float)
+        g = np.zeros_like(z)
+        for point, value in self.spikes.items():
+            g[z == point] = value
+        return g
+
+
+class TestChunkedMidpoint:
+    """The check draws and judges its triples in chunks, with the one-pass result."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n_samples", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**5])
+    @pytest.mark.parametrize("transform", [CS11, TANH1, AFF], ids=["convex-sqrt", "tanh", "affine"])
+    def test_same_report_as_one_pass(self, transform, n_samples, seed):
+        chunked = midpoint_convexity_check(transform, -0.75, (-100.0, 100.0), n_samples, seed=seed)
+        reference = one_shot_midpoint(transform, -0.75, (-100.0, 100.0), n_samples, np.random.default_rng(seed))
+        assert repr(chunked.to_dict()) == repr(reference.to_dict())
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7), np.int8(7)], ids=repr)
+    def test_numpy_integer_seed(self, seed):
+        chunked = midpoint_convexity_check(TANH1, 0.5, (-100.0, 100.0), 2 * _CHUNK + 3, seed=seed)
+        reference = one_shot_midpoint(TANH1, 0.5, (-100.0, 100.0), 2 * _CHUNK + 3, np.random.default_rng(7))
+        assert repr(chunked.to_dict()) == repr(reference.to_dict())
+
+    def test_unseeded_draws_come_from_one_stream(self, monkeypatch):
+        states = []
+        default_rng = np.random.default_rng
+
+        def recording(seed=None):
+            rng = default_rng(seed)
+            states.append(rng.bit_generator.state)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        chunked = midpoint_convexity_check(TANH1, 0.5, (-100.0, 100.0), 2 * _CHUNK + 3, seed=None)
+        monkeypatch.undo()
+        assert len(states) == 1
+        bits = np.random.PCG64()
+        bits.state = states[0]
+        reference = one_shot_midpoint(TANH1, 0.5, (-100.0, 100.0), 2 * _CHUNK + 3, np.random.Generator(bits))
+        assert repr(chunked.to_dict()) == repr(reference.to_dict())
+
+    @pytest.mark.parametrize(
+        "spikes, worst, index",
+        [
+            ({10: 1.0, 3 * _CHUNK + 3: 2.0}, -0.8, 3 * _CHUNK + 3),  # the worst sits in a later chunk
+            ({10: 2.0, 3 * _CHUNK + 3: 1.0}, -0.8, 10),
+            ({_CHUNK + 20: 1.0, 3 * _CHUNK + 3: 1.0}, -0.5, _CHUNK + 20),  # a tie across chunks
+            ({_CHUNK - 1: 1.0, _CHUNK: 1.0}, -0.5, _CHUNK - 1),  # a tie across a chunk edge
+        ],
+        ids=["later-chunk", "first-chunk", "tie", "tie-at-edge"],
+    )
+    def test_first_worst_triple_wins(self, spikes, worst, index):
+        # A spike of height v at a midpoint gives that triple the slack -v^2 / (1 + v^2); all others 0.
+        n_samples = 4 * _CHUNK + 5
+        mid = midpoints(11, n_samples)
+        transform = SpikedTransform({mid[i]: value for i, value in spikes.items()})
+        report = midpoint_convexity_check(transform, 0.0, (-100.0, 100.0), n_samples, seed=11)
+        assert report.worst_violation == worst
+        z1, z2, lam = report.witness
+        assert lam * z1 + (1.0 - lam) * z2 == mid[index]
+        reference = one_shot_midpoint(transform, 0.0, (-100.0, 100.0), n_samples, np.random.default_rng(11))
+        assert repr(report.to_dict()) == repr(reference.to_dict())
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spikes, index, losses",
+        [
+            ({_CHUNK + 20: 1.0, 2 * _CHUNK + 1: np.nan, 3 * _CHUNK + 3: 1e200}, 2 * _CHUNK + 1, "(0.0, 0.0, nan)"),
+            ({3 * _CHUNK + 3: 1e200}, 3 * _CHUNK + 3, "(0.0, 0.0, inf)"),
+        ],
+        ids=["nan", "overflow"],
+    )
+    def test_first_non_finite_loss_raises(self, spikes, index, losses):
+        n_samples = 4 * _CHUNK + 5
+        mid = midpoints(11, n_samples)
+        transform = SpikedTransform({mid[i]: value for i, value in spikes.items()})
+        with pytest.raises(NonFiniteCheckError, match=rf"the loss is not finite at sampled triple {index} of") as info:
+            midpoint_convexity_check(transform, 0.0, (-100.0, 100.0), n_samples, seed=11)
+        assert str(info.value).endswith(f"gives losses {losses}")
+
+    def test_memory_does_not_grow_with_samples(self):
+        def peak(n_samples):
+            tracemalloc.start()
+            try:
+                midpoint_convexity_check(CS11, 0.5, (-100.0, 100.0), n_samples, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10**6)  # a first call also fills one-time caches
+        small, large = peak(10**6), peak(2 * 10**6)
+        assert small < 8 * 2**20  # the three one-pass draws alone take 24 MB
+        assert large == small
+
+
 class TestMonotonicityCheck:
     def test_convex_sqrt_passes_in_bound(self):
         grid = graded_grid(50.0, 2001)
@@ -125,6 +258,11 @@ class TestMonotonicityCheck:
         assert 0.3 <= lo <= 2.0  # violation localized around z ~ 1
         drop = dloss_dz(TANH1, hi, -1.0) - dloss_dz(TANH1, lo, -1.0)
         assert drop < 0.5 * report.worst_violation
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_derivative_raises(self):
+        with pytest.raises(NonFiniteCheckError, match="the loss derivative in z, or its difference, is not finite"):
+            derivative_monotonicity_check(ConvexSqrtTransform(1.0, 1e307), 1e307, graded_grid(50.0, 2001))
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(InvalidGridError):
@@ -294,6 +432,9 @@ class TestBlockedStencil:
         dataset = Dataset(np.array([[1.0], [2.0]]), np.array([1e200, -1e200]))
         with pytest.raises(NonFiniteHessianError, match="loss is not finite at 3 of 3"):
             fd_hessian_psd_check(dataset, CS11, np.array([0.5]))
+
+    def test_non_finite_hessian_is_a_non_finite_check(self):
+        assert issubclass(NonFiniteHessianError, NonFiniteCheckError)
 
     def test_non_finite_entry_raises(self):
         # The steps square to zero: finite losses, 0/0 entries.

@@ -116,6 +116,13 @@ class TestGdFit:
         with pytest.raises(NonFiniteLossError):
             gd_fit(dataset, AffineTransform(1.0, 0.0), np.array([1e200]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_gradient_norm_at_start(self):
+        # The loss at w = 0 is finite, but the slope there scales with alpha.
+        dataset = Dataset(np.array([[0.1], [0.3], [-0.5]]), np.array([0.2, 0.4, -0.6]))
+        with pytest.raises(NonFiniteLossError, match="gradient norm at the starting point is inf"):
+            gd_fit(dataset, ConvexSqrtTransform(1e308, 1.0), np.zeros(1))
+
     def test_determinism(self):
         dataset, _ = make_realizable(seed=308)
         a = gd_fit(dataset, CS11, np.zeros(3))
