@@ -9,15 +9,11 @@ counterexamples for transforms like tanh that break them).
 
 from .transforms import (
     AffineTransform,
-    ConditionCheck,
-    ConditionReport,
     ConvexSqrtTransform,
     DomainError,
-    InvalidGridError,
     TanhTransform,
     Transform,
     UnsupportedTransformError,
-    check_convexity_conditions,
     transform_from_dict,
     transform_to_dict,
 )
@@ -46,6 +42,7 @@ from .solver import (
 from .convexity import (
     ConvexityReport,
     DimensionTooLargeError,
+    InvalidGridError,
     NonFiniteCheckError,
     NonFiniteHessianError,
     derivative_monotonicity_check,
@@ -72,8 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineTransform",
-    "ConditionCheck",
-    "ConditionReport",
     "ConvexSqrtTransform",
     "ConvexityReport",
     "CsvParseError",
@@ -97,7 +92,6 @@ __all__ = [
     "TargetBoundWarning",
     "Transform",
     "UnsupportedTransformError",
-    "check_convexity_conditions",
     "convexity_target_bound",
     "derivative_monotonicity_check",
     "dloss_dz",

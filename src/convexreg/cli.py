@@ -307,17 +307,15 @@ def _cmd_compare(args) -> int:
     y_bound = estimate_target_bound(dataset, 1.0)
     config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
     results = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TargetBoundWarning)
-        for kind in ("convex-sqrt", "tanh"):
-            transform = _build_transform(kind, args.alpha, y_bound)
-            try:
-                reports = multi_restart_fit(dataset, transform, args.restarts, config)
-            except NonFiniteLossError as exc:
-                return _fail_data(f"{args.data}: {exc}")
-            summary = _restart_summary(reports)
-            summary["within_tolerance"] = summary["relative_spread"] <= 1e-6
-            results[kind] = summary
+    for kind in ("convex-sqrt", "tanh"):
+        transform = _build_transform(kind, args.alpha, y_bound)
+        try:
+            reports = multi_restart_fit(dataset, transform, args.restarts, config)
+        except NonFiniteLossError as exc:
+            return _fail_data(f"{args.data}: {exc}")
+        summary = _restart_summary(reports)
+        summary["within_tolerance"] = summary["relative_spread"] <= 1e-6
+        results[kind] = summary
 
     config_echo = {
         **_dataset_echo(spec),

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _losses
-from .transforms import InvalidGridError, Transform, UnsupportedTransformError
+from .transforms import Transform, UnsupportedTransformError
 
 _MAX_HESSIAN_DIM = 50
 
@@ -27,6 +27,10 @@ HESSIAN_STEP = 1e-5
 # 128 KB arrays fit in a core's L2 cache, so its elementwise passes do not
 # go out to memory.
 _CHUNK = 2**14
+
+
+class InvalidGridError(ValueError):
+    """An evaluation grid is empty, unsorted, or otherwise malformed."""
 
 
 class DimensionTooLargeError(ValueError):

@@ -286,6 +286,10 @@ class TestBadInput:
              ["predict", "--model", "m.json", "--data", "f.csv"], "weights must be finite"),
             ({"f.csv": "x\n1\n", "m.json": "[1.0]"},
              ["predict", "--model", "m.json", "--data", "f.csv"], "cannot load model"),
+            ({"f.csv": "x\n1\n", "m.json": '{"weights": [1.0], "transform": null}'},
+             ["predict", "--model", "m.json", "--data", "f.csv"], "cannot load model"),
+            ({"f.csv": "x\n1\n", "m.json": '{"weights": [1.0], "transform": "tanh"}'},
+             ["predict", "--model", "m.json", "--data", "f.csv"], "cannot load model"),
             ({}, ["verify", "--alpha", "1e308"], "the loss is not finite"),
             ({}, ["synth", "--n", "5", "--d", "2", "--noise", "1e308", "--out", "s.csv"], "must be finite"),
             ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--alpha", "1e308"],
@@ -293,6 +297,7 @@ class TestBadInput:
         ],
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
              "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
+             "model-transform-null", "model-transform-string",
              "verify-alpha-huge", "synth-noise-huge", "fit-alpha-huge"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):

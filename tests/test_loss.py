@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexreg import (
     AffineTransform,
@@ -17,13 +18,14 @@ from convexreg import (
     UnsupportedTransformError,
     convexity_target_bound,
     dloss_dz,
+    estimate_target_bound,
     loss_z,
     psd_condition_value,
     sample_gradient,
     total_gradient,
     total_loss,
 )
-from convexreg.loss import _evaluate
+from convexreg.loss import _bound_violation, _evaluate
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 
@@ -386,6 +388,15 @@ class TestTargetBoundFlagging:
             warnings.simplefilter("error", TargetBoundWarning)
             total_loss(model, dataset)
             total_gradient(model, dataset)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    @settings(max_examples=300)
+    def test_estimated_bound_is_never_violated(self, targets):
+        # compare builds its convex-sqrt transform on this bound, so it has no
+        # target-bound warning to handle.
+        dataset = Dataset(np.ones((len(targets), 1)), np.array(targets))
+        transform = ConvexSqrtTransform(1.0, estimate_target_bound(dataset))
+        assert _bound_violation(transform, dataset.targets) is None
 
 
 class TestDataTypes:

@@ -8,10 +8,8 @@ from convexreg import (
     AffineTransform,
     ConvexSqrtTransform,
     DomainError,
-    InvalidGridError,
     TanhTransform,
     UnsupportedTransformError,
-    check_convexity_conditions,
     transform_from_dict,
     transform_to_dict,
 )
@@ -31,6 +29,14 @@ def bisect_increasing(f, target, lo, hi, iters=200):
 
 def central_difference(f, z, step):
     return (f(z + step) - f(z - step)) / (2.0 * step)
+
+
+def sqrt_draws():
+    """50 random convex-sqrt transforms, each with z uniform in +-1e3 plus both signed zeros."""
+    rng = np.random.default_rng(107)
+    for _ in range(50):
+        t = ConvexSqrtTransform(rng.uniform(0.1, 10), rng.uniform(0.1, 10))
+        yield t, np.concatenate([rng.uniform(-1e3, 1e3, 100), [0.0, -0.0]])
 
 
 class TestConvexSqrtEvaluate:
@@ -66,6 +72,11 @@ class TestConvexSqrtEvaluate:
         array = t.evaluate(np.array([-huge, -3.0, 0.0, 3.0, huge]))
         assert np.all(np.isfinite(array))
         assert np.isfinite(t.derivative(huge)) and t.derivative(huge) > 0
+
+    def test_matches_out_of_place_closed_form(self):
+        for t, z in sqrt_draws():
+            closed = np.sign(z) * (t.y_bound * np.sqrt(t.alpha * np.abs(z) + 1.0) - t.y_bound)
+            np.testing.assert_allclose(t.evaluate(z), closed, rtol=1e-12, atol=0.0)
 
     def test_parameter_validation(self):
         for alpha, y_bound in [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (np.nan, 1.0)]:
@@ -114,6 +125,13 @@ class TestDerivative:
             magnitudes = np.sort(rng.uniform(0, 1e3, 500))
             values = t.derivative(magnitudes)
             assert np.all(np.diff(values) <= 1e-12)
+
+    def test_slope_times_shifted_magnitude_is_constant(self):
+        # With r = sqrt(alpha*|z| + 1): g' = alpha*Y/(2r) and |g| + Y = Y*r, so
+        # their product is alpha*Y**2/2 everywhere, z = 0 included.
+        for t, z in sqrt_draws():
+            product = t.derivative(z) * (np.abs(t.evaluate(z)) + t.y_bound)
+            np.testing.assert_allclose(product, t.alpha * t.y_bound**2 / 2.0, rtol=1e-12, atol=0.0)
 
     def test_even_and_continuous_at_zero(self):
         t = ConvexSqrtTransform(2.0, 3.0)
@@ -164,21 +182,6 @@ class TestInverse:
         rng = np.random.default_rng(106)
         u = rng.uniform(-50, 50, 200)
         np.testing.assert_allclose(t.evaluate(t.inverse(u)), u, rtol=1e-12, atol=1e-12)
-
-
-class TestInnerMapDecomposition:
-    def test_reconstruction_matches_evaluate(self):
-        rng = np.random.default_rng(107)
-        for _ in range(50):
-            t = ConvexSqrtTransform(rng.uniform(0.1, 10), rng.uniform(0.1, 10))
-            z = rng.uniform(-1e3, 1e3, 100)
-            rebuilt = np.sign(z) * (t.alpha * t.h(np.abs(z)) + t.beta)
-            assert np.all(np.abs(rebuilt - t.evaluate(z)) <= 1e-12 * (1.0 + np.abs(rebuilt)))
-
-    def test_gamma_is_the_constant_product(self):
-        t = ConvexSqrtTransform(2.0, 3.0)
-        grid = np.linspace(0, 25, 200)
-        np.testing.assert_allclose(t.h(grid) * t.h_prime(grid), t.gamma, rtol=1e-12)
 
 
 class TestSecondDerivative:
@@ -233,76 +236,8 @@ class TestSerialization:
         with pytest.raises(ValueError):
             transform_from_dict({"kind": "sigmoid"})
 
-
-class TestConditionChecker:
-    def _sqrt_family(self, alpha, y_bound):
-        t = ConvexSqrtTransform(alpha, y_bound)
-        return t.h, t.h_prime, t.gamma
-
-    def test_built_in_family_passes_all_conditions(self):
-        # Hand-differentiated oracle: h(t) = (Y/a)*sqrt(a*t+1) has
-        # h'(t) = Y/(2*sqrt(a*t+1)), so h*h' = Y^2/(2a) identically.
-        alpha, y_bound = 1.0, 2.0
-        gamma = y_bound**2 / (2.0 * alpha)
-        assert gamma == 2.0
-        h, h_prime, built_gamma = self._sqrt_family(alpha, y_bound)
-        assert built_gamma == gamma
-        grid = np.arange(0.0, 10.5, 0.5)
-        report = check_convexity_conditions(h, h_prime, alpha, y_bound, gamma, grid, tol=1e-9)
-        assert report.all_passed
-        assert [c.name for c in report.checks] == [
-            "odd_symmetry",
-            "constant_product",
-            "nonincreasing_derivative",
-            "continuity_at_zero",
-        ]
-
-    def test_identity_inner_map_fails_constant_product(self):
-        grid = np.arange(0.0, 10.5, 0.5)
-        for gamma in (0.0, 1.0, 5.0):
-            report = check_convexity_conditions(
-                lambda t: np.asarray(t, dtype=float),
-                lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                1.0,
-                1.0,
-                gamma,
-                grid,
-                tol=1e-6,
-            )
-            check = report["constant_product"]
-            assert not check.passed
-            # identity violation |t - gamma| grows with t on the grid
-            assert check.worst_violation >= 10.0 - gamma - 1e-12
-
-    def test_empty_grid_rejected(self):
-        t = ConvexSqrtTransform(1.0, 1.0)
-        with pytest.raises(InvalidGridError):
-            check_convexity_conditions(t.h, t.h_prime, 1.0, 1.0, t.gamma, [], tol=1e-9)
-
-    def test_unsorted_and_negative_grids_rejected(self):
-        t = ConvexSqrtTransform(1.0, 1.0)
-        with pytest.raises(InvalidGridError):
-            check_convexity_conditions(t.h, t.h_prime, 1.0, 1.0, t.gamma, [1.0, 0.5], tol=1e-9)
-        with pytest.raises(InvalidGridError):
-            check_convexity_conditions(t.h, t.h_prime, 1.0, 1.0, t.gamma, [-1.0, 0.5], tol=1e-9)
-
-    def test_increasing_derivative_fails_monotonicity(self):
-        report = check_convexity_conditions(
-            lambda t: 0.5 * np.asarray(t, dtype=float) ** 2,
-            lambda t: np.asarray(t, dtype=float),
-            1.0,
-            1.0,
-            0.0,
-            np.arange(0.0, 5.0, 0.5),
-            tol=1e-9,
-        )
-        assert not report["nonincreasing_derivative"].passed
-
-    def test_report_lookup(self):
-        t = ConvexSqrtTransform(1.0, 2.0)
-        report = check_convexity_conditions(
-            t.h, t.h_prime, t.alpha, t.y_bound, t.gamma, [0.0, 1.0, 2.0], tol=1e-9
-        )
-        assert report["odd_symmetry"].passed
-        with pytest.raises(KeyError):
-            report["nonexistent"]
+    @pytest.mark.parametrize("payload", [None, "tanh", ["tanh"], {"kind": ["tanh"]}])
+    def test_malformed_payload(self, payload):
+        # Model files are outside input, so a wrong JSON shape must be a ValueError the CLI reports.
+        with pytest.raises(ValueError):
+            transform_from_dict(payload)
