@@ -166,6 +166,12 @@ def _load_model(path: str) -> Model:
     return Model(np.asarray(payload["weights"], dtype=float), transform_from_dict(payload["transform"]))
 
 
+def _bound_warnings(transform: Transform, targets: np.ndarray) -> list[str]:
+    """The report's ``warnings`` list: the target-bound message, if any target exceeds it."""
+    message = _bound_violation(transform, targets)
+    return [] if message is None else [message]
+
+
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="CSV file with features and a target column")
     parser.add_argument(
@@ -189,8 +195,7 @@ def _cmd_fit(args) -> int:
         y_bound = estimate_target_bound(dataset, 1.0)
     transform = _build_transform(args.transform, args.alpha, y_bound)
 
-    bound_message = _bound_violation(transform, dataset.targets)
-    run_warnings = [] if bound_message is None else [bound_message]
+    run_warnings = _bound_warnings(transform, dataset.targets)
 
     config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
     with warnings.catch_warnings():
@@ -256,8 +261,7 @@ def _cmd_predict(args) -> int:
             f"model has {d} weights but {args.data} has {features.shape[1]} columns"
         )
     predictions = model.predict(features)
-    for value in predictions:
-        print(repr(float(value)))
+    sys.stdout.write("".join([repr(value) + "\n" for value in predictions.tolist()]))
     return EXIT_OK
 
 
@@ -368,7 +372,11 @@ def _cmd_synth(args) -> int:
         "seed": args.seed,
         "out": str(args.out),
     }
-    results = {"csv_file": str(args.out), "weights_file": weights_file}
+    results = {
+        "csv_file": str(args.out),
+        "weights_file": weights_file,
+        "warnings": _bound_warnings(transform, dataset.targets),
+    }
     _emit(_report("synth", config_echo, results, started))
     return EXIT_OK
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,13 +71,54 @@ class SynthSpec:
 def _read_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, np.ndarray]:
     """Read a numeric CSV file as ``(header or None, float matrix)``.
 
+    ``csv.reader`` finds the header; numpy's C tokenizer parses the rows
+    below it.  Its float64 cell parser strips whitespace and calls the
+    routine ``float()`` uses, so the values match ``float()`` bit for bit.
+    A file it rejects, or whose matrix is empty, non-finite or not as wide
+    as the header, goes to :func:`_scan_matrix`, which reads what
+    ``float()`` reads and names the first bad cell or row.
+    """
+    header: list[str] | None = None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            if has_header:
+                for row in reader:
+                    if any(cell.strip() for cell in row):
+                        header = [cell.strip() for cell in row]
+                        break
+        with warnings.catch_warnings():
+            # A file with no rows below the header is reported by the scan.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            matrix = np.loadtxt(
+                path, delimiter=",", comments=None, skiprows=reader.line_num, ndmin=2, encoding="utf-8"
+            )
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        pass
+    else:
+        if (
+            matrix.size
+            and (header is None or len(header) == matrix.shape[1])
+            and np.isfinite(matrix).all()
+        ):
+            return header, matrix
+    return _scan_matrix(path, has_header)
+
+
+def _scan_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, np.ndarray]:
+    """Read a CSV file row by row with ``csv.reader`` and ``float()``.
+
     Blank rows are dropped but still counted, so errors name 1-based file
     coordinates.  The cells are converted in one numpy call; only if that
     fails are they scanned in row order to name the first bad cell.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = list(enumerate(csv.reader(handle), start=1))
+            reader = csv.reader(handle)
+            try:
+                rows = list(enumerate(reader, start=1))
+            except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+                raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         # The reader's offset is within one buffer; decode the whole file to place the byte.
         raw = Path(path).read_bytes()
@@ -190,6 +232,9 @@ def load_feature_csv(path: str | Path, has_header: bool = True) -> np.ndarray:
     return _read_matrix(path, has_header)[1]
 
 
+_WRITE_BLOCK_ROWS = 4096
+
+
 def write_csv(dataset: Dataset, path: str | Path, feature_names: list[str] | None = None) -> None:
     """Write a Dataset as ``x1,...,xd,target`` rows.
 
@@ -203,10 +248,11 @@ def write_csv(dataset: Dataset, path: str | Path, feature_names: list[str] | Non
         raise ValueError(f"expected {d} feature names, got {len(feature_names)}")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join([*feature_names, "target"]) + "\n")
-        for row, target in zip(dataset.features, dataset.targets):
-            cells = [repr(float(value)) for value in row]
-            cells.append(repr(float(target)))
-            handle.write(",".join(cells) + "\n")
+        # Blocks of rows as Python floats keep memory bounded on large datasets.
+        for start in range(0, dataset.n_samples, _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            block = np.column_stack([dataset.features[start:stop], dataset.targets[start:stop]])
+            handle.write("".join([",".join(map(repr, row)) + "\n" for row in block.tolist()]))
 
 
 def generate_synthetic(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:

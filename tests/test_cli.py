@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from convexreg import Model, transform_from_dict
+
 
 def run_cli(*args, cwd=None):
     proc = subprocess.run(
@@ -56,6 +58,17 @@ class TestSynth:
         companion = json.loads((tmp_path / "s.weights.json").read_text())
         assert len(companion["true_weights"]) == 2
         assert companion["transform"]["kind"] == "convex-sqrt"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["--d", 20, "--seed", 1], ["15 target(s) exceed the bound 1; the convexity guarantee does not apply"]),
+         (["--d", 2, "--noise", 0], [])],
+        ids=["out-of-bound", "in-bound"],
+    )
+    def test_reports_targets_outside_the_bound(self, tmp_path, argv, expected):
+        code, out, err = run_cli("synth", "--n", 500, *argv, "--out", tmp_path / "s.csv")
+        assert code == 0, err
+        assert report_of(out)["results"]["warnings"] == expected
 
     def test_deterministic_files(self, tmp_path):
         for name in ("a.csv", "b.csv"):
@@ -173,6 +186,18 @@ class TestPredict:
         assert code == 3
         assert out == ""
         assert "header has 2 fields but rows have 1" in err
+
+    def test_output_bytes_are_repr_of_each_prediction(self, tmp_path):
+        model = {"weights": [1.0], "transform": {"kind": "affine", "a": 1.0, "b": 0.0}}
+        values = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 0.1 + 0.2]
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        (tmp_path / "f.csv").write_text("x\n" + "".join(repr(v) + "\n" for v in values))
+        code, out, err = run_cli("predict", "--model", tmp_path / "m.json", "--data", tmp_path / "f.csv")
+        assert code == 0, err
+        predictions = Model(np.array([1.0]), transform_from_dict(model["transform"])).predict(
+            np.array(values)[:, None]
+        )
+        assert out == "".join(repr(float(v)) + "\n" for v in predictions)
 
     def test_shortest_round_trip_formatting(self, tmp_path):
         model = {"weights": [1.0], "transform": {"kind": "affine", "a": 1.0, "b": 0.1}}
@@ -294,11 +319,13 @@ class TestBadInput:
             ({}, ["synth", "--n", "5", "--d", "2", "--noise", "1e308", "--out", "s.csv"], "must be finite"),
             ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--alpha", "1e308"],
              "gradient norm at the starting point is inf"),
+            ({"d.csv": "x,y\n1,2\n" + "1" * 200_000 + ",3\n"}, ["fit", "--data", "d.csv"],
+             "d.csv: line 3: field larger than field limit"),
         ],
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
              "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
              "model-transform-null", "model-transform-string",
-             "verify-alpha-huge", "synth-noise-huge", "fit-alpha-huge"],
+             "verify-alpha-huge", "synth-noise-huge", "fit-alpha-huge", "oversized-field"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):
         for name, content in files.items():

@@ -1,9 +1,14 @@
 """Tests for CSV ingestion, synthetic generation, and target bounds."""
 
+import csv
+import io
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexreg import (
     ConvexSqrtTransform,
@@ -21,6 +26,7 @@ from convexreg import (
     load_feature_csv,
     write_csv,
 )
+from convexreg.data import _read_matrix, _scan_matrix
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -112,11 +118,31 @@ class TestLoadCsv:
         with pytest.raises(MissingTargetColumnError):
             load_csv(DatasetSpec(path, target_column=5))
 
-    def test_empty_and_header_only_files(self, tmp_path):
-        with pytest.raises(CsvParseError):
-            load_csv(DatasetSpec(write(tmp_path, "", name="empty.csv")))
-        with pytest.raises(CsvParseError):
-            load_csv(DatasetSpec(write(tmp_path, "x,y\n", name="header.csv")))
+    @both_loaders
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "no data rows"),
+            ("\n \n", "no data rows"),
+            ("x,y\n", "header only, no data rows"),
+            ("x,y\n\n , \n", "header only, no data rows"),
+        ],
+        ids=["empty", "blank", "header", "header-then-blank"],
+    )
+    def test_empty_and_header_only_files(self, tmp_path, load, text, message):
+        path = write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+            with pytest.raises(CsvParseError) as err:
+                load(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @both_loaders
+    def test_oversized_field_names_line(self, tmp_path, load):
+        path = write(tmp_path, "x,y\n1,2\n" + "1" * 200_000 + ",3\n")
+        with pytest.raises(CsvParseError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: line 3: field larger than field limit ({csv.field_size_limit()})"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -158,6 +184,95 @@ class TestLoadCsv:
             load(path)
 
 
+# Finite numbers in the spellings float() and the tokenizer both accept.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "5e-324", "1e-05", "1e22", " 1.5 ", "\t2\u2003", "1.", ".5", "+3"]),
+)
+# Cells the tokenizer and float() may disagree on, or that the reader must reject.
+_TOKENS = st.one_of(
+    _NUMBERS,
+    st.sampled_from([
+        '"2"', '"1,5"', '"1\n2"', "1_0", "\uff11", "nan", "inf", "-Infinity", "1e400", "0x10",
+        "", " ", "abc", "1e", "\ufeff1",
+    ]),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """``(text, has_header)``: mostly rectangular rows of tricky cells."""
+    width = draw(st.integers(1, 3))
+    cells = draw(st.sampled_from([_NUMBERS, _TOKENS]))
+    # Most files have rectangular rows: each fault below is drawn for about one file in four.
+    rows = draw(st.lists(
+        st.one_of(
+            st.lists(cells, min_size=width, max_size=width),
+            st.sampled_from([[], [" "], ["", ""]]),  # blank and whitespace-only rows
+        ),
+        max_size=6,
+    ))
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.lists(_TOKENS, min_size=1, max_size=4)))
+    has_header = draw(st.booleans())
+    trailing_comma = draw(st.sampled_from(["", "", "", ","]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    # Header cells are drawn like data cells, so a numeric header must still be skipped.
+    header = [",".join(draw(st.lists(cells, min_size=width, max_size=width)))] if has_header else []
+    lines = header + [",".join(row) + trailing_comma for row in rows]
+    return newline.join(lines) + newline, has_header
+
+
+def _oracle(text, has_header):
+    """The reader's contract: csv.reader rows, blank rows dropped, float() per cell."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if any(c.strip() for c in row)]
+    header = [c.strip() for c in rows.pop(0)] if has_header and rows else None
+    if not rows or len({len(row) for row in rows}) != 1 or (header and len(header) != len(rows[0])):
+        return None
+    try:
+        matrix = np.array([[float(c) for c in row] for row in rows])
+    except ValueError:
+        return None
+    return (header, matrix) if np.isfinite(matrix).all() else None
+
+
+def _as_matrix(dataset):
+    # load_csv appends the bias column last and takes the targets from the last column.
+    return np.column_stack([dataset.features[:, :-1], dataset.targets])
+
+
+class TestReaderMatchesFloat:
+    """The tokenizer fast path reads exactly what csv.reader plus float() read."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_csv_files())
+    def test_differential(self, case):
+        text, has_header = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "case.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            expected = _oracle(text, has_header)
+            loaders = [
+                lambda: _read_matrix(path, has_header),
+                lambda: (None, load_feature_csv(path, has_header)),
+                lambda: (None, _as_matrix(load_csv(DatasetSpec(path, has_header=has_header)))),
+            ]
+            if expected is None:
+                with pytest.raises(ValueError) as reference:
+                    _scan_matrix(path, has_header)
+                for load in loaders:
+                    with pytest.raises(ValueError) as err:
+                        load()
+                    assert type(err.value) is type(reference.value)
+                    assert str(err.value) == str(reference.value)
+            else:
+                for load, header in zip(loaders, [expected[0], None, None]):
+                    got_header, matrix = load()
+                    assert got_header == header
+                    assert matrix.shape == expected[1].shape
+                    assert matrix.tobytes() == expected[1].tobytes()
+
+
 class TestRoundTrip:
     def test_write_then_load_is_bit_identical(self, tmp_path):
         rng = np.random.default_rng(502)
@@ -171,6 +286,18 @@ class TestRoundTrip:
         back = load_csv(DatasetSpec(path, add_bias=False, standardize=False))
         np.testing.assert_array_equal(back.features, dataset.features)
         np.testing.assert_array_equal(back.targets, dataset.targets)
+
+    def test_bytes_are_repr_of_each_cell(self, tmp_path):
+        special = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 0.1 + 0.2]
+        rng = np.random.default_rng(504)
+        # Enough rows to span several write blocks.
+        matrix = np.concatenate([np.resize(special, (4, 6)), rng.standard_normal((9000, 6))])
+        path = tmp_path / "pinned.csv"
+        write_csv(Dataset(matrix[:, :5], matrix[:, 5]), path)
+        expected = "x1,x2,x3,x4,x5,target\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in matrix
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_header_names(self, tmp_path):
         dataset = Dataset(np.array([[1.0, 2.0]]), np.array([3.0]))
