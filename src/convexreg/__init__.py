@@ -10,7 +10,6 @@ counterexamples for transforms like tanh that break them).
 from .transforms import (
     AffineTransform,
     ConvexSqrtTransform,
-    DomainError,
     TanhTransform,
     Transform,
     UnsupportedTransformError,
@@ -26,7 +25,6 @@ from .loss import (
     dloss_dz,
     loss_z,
     psd_condition_value,
-    sample_gradient,
     total_gradient,
     total_loss,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "DatasetSpec",
     "DimensionMismatchError",
     "DimensionTooLargeError",
-    "DomainError",
     "FitReport",
     "InvalidGridError",
     "MissingTargetColumnError",
@@ -108,7 +105,6 @@ __all__ = [
     "multi_restart_fit",
     "ols_fit",
     "psd_condition_value",
-    "sample_gradient",
     "total_gradient",
     "total_loss",
     "transform_from_dict",

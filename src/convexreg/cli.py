@@ -192,7 +192,7 @@ def _cmd_fit(args) -> int:
 
     y_bound = args.y_bound
     if y_bound == "auto":
-        y_bound = estimate_target_bound(dataset, 1.0)
+        y_bound = estimate_target_bound(dataset)
     transform = _build_transform(args.transform, args.alpha, y_bound)
 
     run_warnings = _bound_warnings(transform, dataset.targets)
@@ -308,7 +308,7 @@ def _cmd_compare(args) -> int:
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
-    y_bound = estimate_target_bound(dataset, 1.0)
+    y_bound = estimate_target_bound(dataset)
     config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
     results = {}
     for kind in ("convex-sqrt", "tanh"):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,13 +25,20 @@ class MissingTargetColumnError(ValueError):
     """The requested target column does not exist."""
 
 
+# A longer cell is quoted by its start and its length, to keep the message short.
+_QUOTED_CELL_CHARS = 64
+
+
 class NonNumericCellError(ValueError):
     """A cell that should hold a finite number does not."""
 
     def __init__(self, line: int, column: int, cell: str, reason: str = "is not a number"):
         self.line = int(line)
         self.column = int(column)
-        super().__init__(f"line {line}, column {column}: cell {cell!r} {reason}")
+        quoted = repr(cell)
+        if len(cell) > _QUOTED_CELL_CHARS:
+            quoted = f"{cell[:_QUOTED_CELL_CHARS]!r}... ({len(cell)} characters)"
+        super().__init__(f"line {line}, column {column}: cell {quoted} {reason}")
 
 
 @dataclass(frozen=True)
@@ -56,15 +66,14 @@ class SynthSpec:
     ``g``.  That does not keep targets inside the convexity bound: the
     convex-sqrt transform is unbounded, and its targets exceed ``y_bound``
     wherever ``|w* . x + noise| > 3 / alpha``, which grows more common
-    with the number of features.  ``true_weights`` defaults to a seeded
-    uniform draw on [-1, 1].
+    with the number of features.  The true weights w* are a seeded uniform
+    draw on [-1, 1].
     """
 
     n_samples: int
     n_features: int
     transform: Transform
     noise_std: float = 0.0
-    true_weights: np.ndarray | None = None
     seed: int = 0
 
 
@@ -105,19 +114,39 @@ def _read_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, 
     return _scan_matrix(path, has_header)
 
 
+# csv.field_size_limit() is process-wide, so it is raised and restored under a lock.
+_FIELD_LIMIT_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _field_size_limit_at_least(size: int):
+    with _FIELD_LIMIT_LOCK:
+        limit = csv.field_size_limit(max(csv.field_size_limit(), size))
+        try:
+            yield
+        finally:
+            csv.field_size_limit(limit)
+
+
 def _scan_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, np.ndarray]:
     """Read a CSV file row by row with ``csv.reader`` and ``float()``.
 
     Blank rows are dropped but still counted, so errors name 1-based file
-    coordinates.  The cells are converted in one numpy call; only if that
-    fails are they scanned in row order to name the first bad cell.
+    coordinates.  No field is longer than the file, so the reader's field
+    limit is raised to the file's size while it reads, and a long field
+    cannot hide a bad cell after it.  The cells are converted in one numpy
+    call; only if that fails are they scanned in row order to name the
+    first bad cell.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with (
+            open(path, "r", encoding="utf-8", newline="") as handle,
+            _field_size_limit_at_least(os.fstat(handle.fileno()).st_size),
+        ):
             reader = csv.reader(handle)
             try:
                 rows = list(enumerate(reader, start=1))
-            except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            except csv.Error as exc:
                 raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
         # The reader's offset is within one buffer; decode the whole file to place the byte.
@@ -235,19 +264,15 @@ def load_feature_csv(path: str | Path, has_header: bool = True) -> np.ndarray:
 _WRITE_BLOCK_ROWS = 4096
 
 
-def write_csv(dataset: Dataset, path: str | Path, feature_names: list[str] | None = None) -> None:
-    """Write a Dataset as ``x1,...,xd,target`` rows.
+def write_csv(dataset: Dataset, path: str | Path) -> None:
+    """Write a Dataset under the header ``x1,...,xd,target``.
 
     Values use shortest-round-trip decimal formatting, so reading the file
     back recovers every entry bit-for-bit.
     """
-    d = dataset.n_features
-    if feature_names is None:
-        feature_names = [f"x{i + 1}" for i in range(d)]
-    if len(feature_names) != d:
-        raise ValueError(f"expected {d} feature names, got {len(feature_names)}")
+    header = [f"x{i + 1}" for i in range(dataset.n_features)]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join([*feature_names, "target"]) + "\n")
+        handle.write(",".join([*header, "target"]) + "\n")
         # Blocks of rows as Python floats keep memory bounded on large datasets.
         for start in range(0, dataset.n_samples, _WRITE_BLOCK_ROWS):
             stop = start + _WRITE_BLOCK_ROWS
@@ -269,27 +294,18 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
         raise ValueError("noise_std must be nonnegative")
 
     rng = np.random.default_rng(spec.seed)
-    if spec.true_weights is None:
-        weights = rng.uniform(-1.0, 1.0, spec.n_features)
-    else:
-        weights = np.asarray(spec.true_weights, dtype=float)
-        if weights.shape != (spec.n_features,):
-            raise ValueError(
-                f"true_weights must have shape ({spec.n_features},), got {weights.shape}"
-            )
+    weights = rng.uniform(-1.0, 1.0, spec.n_features)
     features = rng.uniform(-1.0, 1.0, (spec.n_samples, spec.n_features))
     noise = rng.normal(0.0, spec.noise_std, spec.n_samples) if spec.noise_std > 0 else 0.0
     targets = spec.transform.evaluate(features @ weights + noise)
     return Dataset(features, np.asarray(targets, dtype=float)), weights
 
 
-def estimate_target_bound(dataset: Dataset, margin: float = 1.0) -> float:
-    """Data-driven bound ``margin * max |y|`` (1.0 fallback for all-zero targets).
+def estimate_target_bound(dataset: Dataset) -> float:
+    """Data-driven bound ``max |y|`` (1.0 fallback for all-zero targets).
 
-    Any bound at least max |y| satisfies the convexity hypothesis; the
-    margin hedges against unseen targets.
+    This is the smallest bound that satisfies the convexity hypothesis on
+    the dataset's targets.
     """
-    if not margin >= 1.0:
-        raise ValueError("margin must be >= 1")
     largest = float(np.abs(dataset.targets).max())
-    return margin * (largest if largest > 0.0 else 1.0)
+    return largest if largest > 0.0 else 1.0

@@ -94,16 +94,31 @@ class Model:
         return self.transform.evaluate(features @ self.weights)
 
 
+def _residual(transform: Transform, z, y):
+    """``g(z) - y``, the one spelling of the residual.
+
+    The subtraction is out of place, so the result takes numpy's promoted
+    type of g(z) and y (float32 z with a float64 y gives float64), and z
+    and y are never written.
+    """
+    return transform.evaluate(z) - y
+
+
+def _slope(transform: Transform, z, residual):
+    """``2 * r * g'(z)``, the one spelling of the loss slope in z, from a residual r."""
+    return 2.0 * residual * transform.derivative(z)
+
+
 def loss_z(transform: Transform, z, y):
     """Squared loss ``(g(z) - y)^2`` as a function of the linear response z."""
-    residual = transform.evaluate(z) - y
-    residual *= residual  # a new array (or a scalar, rebound): z and y are never written
+    residual = _residual(transform, z, y)
+    residual *= residual  # a new array (or a scalar, rebound)
     return residual
 
 
 def dloss_dz(transform: Transform, z, y):
     """Derivative of :func:`loss_z` in z: ``2 * (g(z) - y) * g'(z)``."""
-    return 2.0 * (transform.evaluate(z) - y) * transform.derivative(z)
+    return _slope(transform, z, _residual(transform, z, y))
 
 
 def convexity_target_bound(transform: Transform) -> float | None:
@@ -143,16 +158,6 @@ def _check_dims(model: Model, dataset: Dataset) -> None:
             f"model has {model.weights.size} weights but the dataset has "
             f"{dataset.n_features} features"
         )
-
-
-def _residual(transform, z: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """``g(z) - y`` for a float64 response z whose last axis runs over the samples.
-
-    The targets are subtracted in place, in the new array evaluate returns.
-    """
-    residual = transform.evaluate(z)
-    residual -= targets
-    return residual
 
 
 def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.ndarray, float]:
@@ -215,19 +220,7 @@ def _gradient(features, transform, z, residual) -> np.ndarray:
     one running sum per column, with no N x d temporary and no BLAS call,
     so the bits do not depend on the BLAS thread count.
     """
-    coef = 2.0 * residual * transform.derivative(z)
-    return np.einsum("ij,i->j", features, coef)
-
-
-def sample_gradient(model: Model, x, y) -> np.ndarray:
-    """Gradient in w of one sample's loss: ``dloss_dz(w . x, y) * x``."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != model.weights.size:
-        raise DimensionMismatchError(
-            f"sample has {x.size} entries but the model has {model.weights.size} weights"
-        )
-    z = float(x @ model.weights)
-    return dloss_dz(model.transform, z, y) * x
+    return np.einsum("ij,i->j", features, _slope(transform, z, residual))
 
 
 def total_loss(model: Model, dataset: Dataset) -> float:
@@ -252,7 +245,6 @@ def psd_condition_value(transform: Transform, z, y):
     is positive semidefinite at this (z, y).  Only defined for transforms
     with a second derivative; raises UnsupportedTransformError otherwise.
     """
-    g = transform.evaluate(z)
-    gp = transform.derivative(z)
     gpp = transform.second_derivative(z)
-    return 2.0 * gp * gp + 2.0 * (g - y) * gpp
+    gp = transform.derivative(z)
+    return 2.0 * gp * gp + 2.0 * _residual(transform, z, y) * gpp

@@ -24,6 +24,9 @@ from .loss import (
 from .transforms import Transform
 
 _MIN_STEP = 1e-16
+# Armijo sufficient-decrease constant and line-search shrink factor.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 _PIVOT_RATIO = 1e-12
 
 TERMINATION_CONVERGED = "converged"
@@ -51,17 +54,13 @@ class SingularSystemError(ValueError):
 class SolverConfig:
     """Gradient-descent settings.
 
-    The solver stops when ``||grad||_2 <= grad_tol * (1 + |loss|)``, caps
-    work at ``max_iters`` accepted steps, and accepts a step s only when
-    the Armijo test ``L(w - s*g) <= L(w) - armijo_c * s * ||g||^2`` holds.
-    ``seed`` drives restart initialization in :func:`multi_restart_fit`.
+    The solver stops when ``||grad||_2 <= grad_tol * (1 + |loss|)`` and
+    caps work at ``max_iters`` accepted steps.  ``seed`` drives restart
+    initialization in :func:`multi_restart_fit`.
     """
 
     max_iters: int = 10000
     grad_tol: float = 1e-8
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    init_step: float = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -69,12 +68,6 @@ class SolverConfig:
             raise ValueError("max_iters must be a positive integer")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not self.init_step > 0.0:
-            raise ValueError("init_step must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +97,11 @@ class FitReport:
 def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | None = None) -> FitReport:
     """Minimize the cumulative squared loss by gradient descent from ``w0``.
 
-    Each iteration takes a step along the negative gradient, with the step
-    size warm-started from the previous iteration (grown by one backtrack
-    factor) and shrunk until the Armijo test passes.  The loss trace is
-    therefore nonincreasing.  Terminations:
+    Each iteration takes a step s along the negative gradient g.  The first
+    trial is s = 1; later ones warm-start from the previously accepted
+    step, doubled.  The step is halved until the Armijo test
+    ``L(w - s*g) <= L(w) - 1e-4 * s * ||g||^2`` passes, so the loss trace
+    is nonincreasing.  Terminations:
 
     - ``converged``: gradient norm fell below ``grad_tol * (1 + |loss|)``;
     - ``max_iters``: iteration budget exhausted;
@@ -143,9 +137,8 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     trace = [loss]
     iterations = 0
     termination = TERMINATION_MAX_ITERS
-    # First trial step is exactly init_step; later trials warm-start from
-    # the previously accepted step, grown by one backtrack factor.
-    step = config.init_step * config.backtrack_factor
+    # Each iteration first divides the step by _BACKTRACK: the first trial is 1.
+    step = _BACKTRACK
 
     for _ in range(config.max_iters):
         if grad_norm <= config.grad_tol * (1.0 + abs(loss)):
@@ -153,7 +146,7 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
             break
 
         grad_sq = grad_norm * grad_norm
-        step = step / config.backtrack_factor
+        step = step / _BACKTRACK
         accepted = False
         while step > _MIN_STEP:
             w_try = w - step * grad
@@ -165,10 +158,10 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
             # floating-point floor the Armijo threshold rounds to loss itself,
             # which would otherwise accept zero-progress steps forever.
             # NaN/inf trial losses fail both tests and shrink the step.
-            if loss_try <= loss - config.armijo_c * step * grad_sq and loss_try < loss:
+            if loss_try <= loss - _ARMIJO_C * step * grad_sq and loss_try < loss:
                 accepted = True
                 break
-            step *= config.backtrack_factor
+            step *= _BACKTRACK
         if not accepted:
             termination = TERMINATION_STALLED
             break

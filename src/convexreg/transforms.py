@@ -18,10 +18,6 @@ from typing import Union
 import numpy as np
 
 
-class DomainError(ValueError):
-    """An inverse was requested outside the transform's range."""
-
-
 class UnsupportedTransformError(TypeError):
     """The operation needs a second derivative the transform does not expose."""
 
@@ -85,9 +81,6 @@ class ConvexSqrtTransform:
             "use derivative monotonicity to assess curvature"
         )
 
-    def inverse(self, u):
-        return np.sign(u) * ((np.abs(u) / self.y_bound + 1.0) ** 2 - 1.0) / self.alpha
-
 
 @dataclass(frozen=True)
 class AffineTransform:
@@ -111,11 +104,6 @@ class AffineTransform:
     def second_derivative(self, z):
         return 0.0 * z
 
-    def inverse(self, u):
-        if self.a == 0.0:
-            raise DomainError("affine transform with zero slope has no inverse")
-        return (u - self.b) / self.a
-
 
 @dataclass(frozen=True)
 class TanhTransform:
@@ -137,11 +125,6 @@ class TanhTransform:
     def second_derivative(self, z):
         th = np.tanh(z)
         return -2.0 * self.scale * th * (1.0 - th**2)
-
-    def inverse(self, u):
-        if np.any(np.abs(u) >= self.scale):
-            raise DomainError(f"|u| must be < scale ({self.scale:g}) for the tanh inverse")
-        return np.arctanh(np.asarray(u, dtype=float) / self.scale)
 
 
 Transform = Union[ConvexSqrtTransform, AffineTransform, TanhTransform]

@@ -1,4 +1,6 @@
-"""The package's public names: a removal or addition has to change this list."""
+"""The package's public names and settable fields: a removal or addition has to change these lists."""
+
+from dataclasses import fields
 
 import convexreg
 
@@ -11,7 +13,6 @@ PUBLIC_API = [
     "DatasetSpec",
     "DimensionMismatchError",
     "DimensionTooLargeError",
-    "DomainError",
     "FitReport",
     "InvalidGridError",
     "MissingTargetColumnError",
@@ -43,7 +44,6 @@ PUBLIC_API = [
     "multi_restart_fit",
     "ols_fit",
     "psd_condition_value",
-    "sample_gradient",
     "total_gradient",
     "total_loss",
     "transform_from_dict",
@@ -59,3 +59,9 @@ def test_all_is_the_recorded_public_api():
         assert hasattr(convexreg, name), name
     assert sorted(convexreg.__all__) == PUBLIC_API
 
+
+def test_solver_and_synth_settings_are_the_recorded_fields():
+    assert [f.name for f in fields(convexreg.SolverConfig)] == ["max_iters", "grad_tol", "seed"]
+    assert [f.name for f in fields(convexreg.SynthSpec)] == [
+        "n_samples", "n_features", "transform", "noise_std", "seed",
+    ]

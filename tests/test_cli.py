@@ -320,12 +320,15 @@ class TestBadInput:
             ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--alpha", "1e308"],
              "gradient norm at the starting point is inf"),
             ({"d.csv": "x,y\n1,2\n" + "1" * 200_000 + ",3\n"}, ["fit", "--data", "d.csv"],
-             "d.csv: line 3: field larger than field limit"),
+             "line 3, column 1: cell '" + "1" * 64 + "'... (200000 characters) is not finite"),
+            ({"d.csv": "x,y\n1,2\n0." + "0" * 200_000 + ",3\n4,abc\n"}, ["fit", "--data", "d.csv"],
+             "line 4, column 2: cell 'abc' is not a number"),
         ],
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
              "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
              "model-transform-null", "model-transform-string",
-             "verify-alpha-huge", "synth-noise-huge", "fit-alpha-huge", "oversized-field"],
+             "verify-alpha-huge", "synth-noise-huge", "fit-alpha-huge", "oversized-field",
+             "long-field-then-bad-cell"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):
         for name, content in files.items():

@@ -21,7 +21,6 @@ from convexreg import (
     estimate_target_bound,
     loss_z,
     psd_condition_value,
-    sample_gradient,
     total_gradient,
     total_loss,
 )
@@ -132,7 +131,10 @@ class TestInPlaceKernels:
             residual = t.evaluate(z) - y
             expected = residual * residual
             actual = loss_z(t, z, y)
+            expected_slope = 2.0 * (t.evaluate(z) - y) * t.derivative(z)
+            actual_slope = dloss_dz(t, z, y)
         assert_same_value(actual, expected)
+        assert_same_value(actual_slope, expected_slope)
         assert_same_value(z, before_z)
         assert_same_value(y, before_y)
 
@@ -220,28 +222,6 @@ class TestDlossDz:
                 assert gap <= 10.0 * alpha**2 * y_bound * eps
 
 
-class TestSampleGradient:
-    def test_zero_features_give_zero_gradient(self):
-        model = Model(np.array([0.3, -0.2]), CS11)
-        np.testing.assert_array_equal(sample_gradient(model, np.zeros(2), 5.0), np.zeros(2))
-
-    def test_zero_at_minimizer(self):
-        model = Model(np.array([1.0]), CS11)
-        np.testing.assert_array_equal(sample_gradient(model, np.array([3.0]), 1.0), [0.0])
-
-    def test_scaled_by_features(self):
-        model = Model(np.array([1.0]), CS11)
-        result = sample_gradient(model, np.array([3.0]), 0.0)
-        np.testing.assert_allclose(result, [1.5], rtol=1e-12)
-        dataset = Dataset(np.array([[3.0]]), np.array([0.0]))
-        np.testing.assert_allclose(result, fd_gradient(model, dataset), rtol=1e-7)
-
-    def test_dimension_mismatch(self):
-        model = Model(np.array([1.0, 2.0]), CS11)
-        with pytest.raises(DimensionMismatchError):
-            sample_gradient(model, np.array([1.0, 2.0, 3.0]), 0.0)
-
-
 class TestTotalLoss:
     def test_realizable_point(self):
         dataset = Dataset(np.array([[3.0]]), np.array([1.0]))
@@ -258,6 +238,31 @@ class TestTotalLoss:
 
 
 class TestTotalGradient:
+    @pytest.mark.parametrize("t", [CS11, ConvexSqrtTransform(10.0, 3.0), AffineTransform(2.0, 0.5),
+                                   TanhTransform(1.5)], ids=repr)
+    def test_one_sample_is_dloss_dz_times_features(self, t):
+        rng = np.random.default_rng(208)
+        for _ in range(50):
+            x, w, y = rng.normal(size=(1, 3)), rng.normal(size=3), rng.uniform(-1.0, 1.0)
+            gradient = total_gradient(Model(w, t), Dataset(x, np.array([y])))
+            assert gradient.tobytes() == (dloss_dz(t, (x @ w)[0], y) * x[0]).tobytes()
+
+    def test_one_sample_zero_features_give_zero_gradient(self):
+        dataset = Dataset(np.zeros((1, 2)), np.array([0.5]))
+        gradient = total_gradient(Model(np.array([0.3, -0.2]), CS11), dataset)
+        np.testing.assert_array_equal(gradient, np.zeros(2))
+
+    def test_one_sample_zero_at_minimizer(self):
+        dataset = Dataset(np.array([[3.0]]), np.array([1.0]))
+        np.testing.assert_array_equal(total_gradient(Model(np.array([1.0]), CS11), dataset), [0.0])
+
+    def test_one_sample_scaled_by_features(self):
+        model = Model(np.array([1.0]), CS11)
+        dataset = Dataset(np.array([[3.0]]), np.array([0.0]))
+        result = total_gradient(model, dataset)
+        np.testing.assert_allclose(result, [1.5], rtol=1e-12)
+        np.testing.assert_allclose(result, fd_gradient(model, dataset), rtol=1e-7)
+
     def test_vanishes_at_exact_solution(self):
         rng = np.random.default_rng(205)
         w_star = rng.uniform(-1, 1, 3)

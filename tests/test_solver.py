@@ -137,11 +137,10 @@ class TestSolverConfig:
             {"max_iters": 0},
             {"grad_tol": 0.0},
             {"grad_tol": -1.0},
-            {"armijo_c": 0.0},
-            {"armijo_c": 1.0},
-            {"backtrack_factor": 0.0},
-            {"backtrack_factor": 1.0},
-            {"init_step": 0.0},
+            {"max_iters": -1},
+            {"grad_tol": -0.0},
+            {"grad_tol": float("nan")},
+            {"grad_tol": float("-inf")},
         ],
     )
     def test_rejects_bad_ranges(self, kwargs):
