@@ -97,11 +97,26 @@ class Model:
 def _residual(transform: Transform, z, y):
     """``g(z) - y``, the one spelling of the residual.
 
-    The subtraction is out of place, so the result takes numpy's promoted
-    type of g(z) and y (float32 z with a float64 y gives float64), and z
-    and y are never written.
+    The result takes numpy's promoted type of g(z) and y (float32 z with a
+    float64 y gives float64), and z and y are never written.  When g(z) is
+    a writeable array of that type, whose trailing axes are y's shape and
+    which shares no memory with z or y, y is subtracted into it, which
+    saves an N-element allocation; otherwise the subtraction is out of
+    place.  Both give the same bits.
     """
-    return transform.evaluate(z) - y
+    value = transform.evaluate(z)
+    if (
+        isinstance(value, np.ndarray)
+        and isinstance(y, np.ndarray)
+        and value.flags.writeable
+        and np.promote_types(value.dtype, y.dtype) == value.dtype
+        and value.shape[value.ndim - y.ndim :] == y.shape
+        and not np.may_share_memory(value, z)
+        and not np.may_share_memory(value, y)
+    ):
+        value -= y
+        return value
+    return value - y
 
 
 def _slope(transform: Transform, z, residual):

@@ -24,6 +24,9 @@ from .loss import (
 from .transforms import Transform
 
 _MIN_STEP = 1e-16
+# A trial whose first-order decrease step * ||g||^2 is below _EPS * loss
+# changes the loss by less than its rounding: no comparison can judge it.
+_EPS = float(np.finfo(float).eps)
 # Armijo sufficient-decrease constant and line-search shrink factor.
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
@@ -105,8 +108,11 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
 
     - ``converged``: gradient norm fell below ``grad_tol * (1 + |loss|)``;
     - ``max_iters``: iteration budget exhausted;
-    - ``line_search_stalled``: no acceptable step above 1e-16 exists
-      (typically the loss is already at the floating-point floor).
+    - ``line_search_stalled``: no trial with ``s * ||g||^2 >= eps * loss``
+      passes the Armijo test, where eps is float64 machine epsilon (the
+      loss is at its rounding floor).  Smaller trials are not evaluated: a
+      decrease below the loss's rounding could pass only by luck.  At
+      loss 0 the rule admits every step, and trials stop below 1e-16.
 
     One iteration costs one gradient reduction, which reuses the response
     and residual of the trial point accepted last, plus one mat-vec and
@@ -148,7 +154,7 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
         grad_sq = grad_norm * grad_norm
         step = step / _BACKTRACK
         accepted = False
-        while step > _MIN_STEP:
+        while step > _MIN_STEP and step * grad_sq >= _EPS * loss:
             w_try = w - step * grad
             # Every trial is evaluated from scratch at w_try, never by
             # updating z along X @ grad: the carried z drifts, and the loss

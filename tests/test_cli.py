@@ -323,12 +323,14 @@ class TestBadInput:
              "line 3, column 1: cell '" + "1" * 64 + "'... (200000 characters) is not finite"),
             ({"d.csv": "x,y\n1,2\n0." + "0" * 200_000 + ",3\n4,abc\n"}, ["fit", "--data", "d.csv"],
              "line 4, column 2: cell 'abc' is not a number"),
+            ({"d.csv": "x,y\n1,2\n1,abc\n"}, ["fit", "--data", "d.csv"],
+             "error: d.csv: line 3, column 2: cell 'abc' is not a number\n"),
         ],
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
              "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
              "model-transform-null", "model-transform-string",
              "verify-alpha-huge", "synth-noise-huge", "fit-alpha-huge", "oversized-field",
-             "long-field-then-bad-cell"],
+             "long-field-then-bad-cell", "bad-cell-names-file"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):
         for name, content in files.items():

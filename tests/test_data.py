@@ -98,7 +98,7 @@ class TestLoadCsv:
         with pytest.raises(NonNumericCellError) as err:
             load(path)
         assert (err.value.line, err.value.column) == (line, column)
-        assert str(err.value) == f"line {line}, column {column}: {message}"
+        assert str(err.value) == f"{path}: line {line}, column {column}: {message}"
 
     @both_loaders
     def test_ragged_row_names_line(self, tmp_path, load):
@@ -145,7 +145,7 @@ class TestLoadCsv:
         limit = csv.field_size_limit()
         with pytest.raises(NonNumericCellError) as err:
             load(path)
-        assert str(err.value) == f"line 3, column 1: cell {'1' * 64!r}... (200000 characters) is not finite"
+        assert str(err.value) == f"{path}: line 3, column 1: cell {'1' * 64!r}... (200000 characters) is not finite"
         assert csv.field_size_limit() == limit
 
     @both_loaders
@@ -156,7 +156,7 @@ class TestLoadCsv:
         path = write(tmp_path, f"x,y\n1,2\n{long_zero},3\n4,abc\n")
         with pytest.raises(NonNumericCellError) as err:
             load(path)
-        assert str(err.value) == "line 4, column 2: cell 'abc' is not a number"
+        assert str(err.value) == f"{path}: line 4, column 2: cell 'abc' is not a number"
 
     def test_concurrent_scans_restore_the_field_limit(self, tmp_path):
         path = write(tmp_path, "x,y\n1,2\n" + "1" * 200_000 + ",3\n")
@@ -182,7 +182,7 @@ class TestLoadCsv:
         finally:
             sys.setswitchinterval(interval)
         assert len(messages) == 160
-        assert set(messages) == {f"line 3, column 1: cell {'1' * 64!r}... (200000 characters) is not finite"}
+        assert set(messages) == {f"{path}: line 3, column 1: cell {'1' * 64!r}... (200000 characters) is not finite"}
         assert csv.field_size_limit() == limit
 
     def test_missing_file(self, tmp_path):

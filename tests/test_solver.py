@@ -28,6 +28,7 @@ from convexreg import (
     total_gradient,
     total_loss,
 )
+from convexreg import solver
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 
@@ -285,6 +286,10 @@ _THREAD_PROBE = textwrap.dedent(
 )
 
 
+# With Y = 3 this fit reaches the loss's rounding floor and stalls.
+STALLED_FIT = SynthSpec(5000, 8, CS11, 0.1, seed=2)
+
+
 class TestReproducibility:
     def test_reports_independent_of_input_layout(self):
         generated, _ = generate_synthetic(SynthSpec(2000, 5, CS11, 0.05, seed=11))
@@ -309,10 +314,81 @@ class TestReproducibility:
         assert outputs[0] == outputs[1]
 
     def test_report_matches_loss_and_gradient_at_final_weights(self):
-        generated, _ = generate_synthetic(SynthSpec(5000, 8, CS11, 0.1, seed=2))
+        generated, _ = generate_synthetic(STALLED_FIT)
         transform = ConvexSqrtTransform(1.0, 3.0)
         report = gd_fit(generated, transform, np.zeros(8))
         assert report.termination == "line_search_stalled"
         model = Model(report.final_weights, transform)
         assert report.final_loss == total_loss(model, generated)
         assert report.final_grad_norm == float(np.linalg.norm(total_gradient(model, generated)))
+
+
+def logged_fit(monkeypatch, dataset, transform, w0):
+    """Run gd_fit and return its report and every line-search trial, in order.
+
+    A trial is ``(step, grad_sq, loss, accepted)``: its step, the squared
+    gradient norm and the loss at the point it leaves, and whether the
+    line search took it.  Steps are powers of two, so each is recovered
+    exactly from the distance between the point and the trial; a trial
+    that does not move the weights counts as step 0.
+    """
+    events = []
+    evaluate, gradient_and_norm = solver._evaluate, solver._gradient_and_norm
+
+    def logged_evaluate(features, targets, transform, weights):
+        result = evaluate(features, targets, transform, weights)
+        events.append(("evaluate", np.array(weights), result[2]))
+        return result
+
+    def logged_gradient_and_norm(*args):
+        result = gradient_and_norm(*args)
+        events.append(("gradient", *result))
+        return result
+
+    monkeypatch.setattr(solver, "_evaluate", logged_evaluate)
+    monkeypatch.setattr(solver, "_gradient_and_norm", logged_gradient_and_norm)
+    report = gd_fit(dataset, transform, w0)
+
+    trials = []
+    (_, w, loss), (_, _, grad_norm) = events[:2]
+    for index, (kind, w_try, loss_try) in enumerate(events[2:], start=2):
+        if kind != "evaluate":
+            continue
+        distance = float(np.linalg.norm(w - w_try))
+        step = 2.0 ** round(np.log2(distance / grad_norm)) if distance else 0.0
+        accepted = index + 1 < len(events) and events[index + 1][0] == "gradient"
+        trials.append((step, grad_norm * grad_norm, loss, accepted))
+        if accepted:
+            w, loss = w_try, loss_try
+            grad_norm = events[index + 1][2]
+    return report, trials
+
+
+class TestLineSearchFloor:
+    """The line search evaluates no trial whose decrease is below the loss's rounding."""
+
+    def test_no_trial_below_the_rounding_floor(self, monkeypatch):
+        generated, _ = generate_synthetic(STALLED_FIT)
+        report, trials = logged_fit(monkeypatch, generated, ConvexSqrtTransform(1.0, 3.0), np.zeros(8))
+        assert report.termination == "line_search_stalled"
+        assert sum(accepted for *_, accepted in trials) == report.iterations
+        eps = np.finfo(float).eps
+        below = [t for t in trials if t[0] * t[1] < eps * t[2]]
+        assert below == []
+
+    def test_stall_costs_at_most_three_trials(self, monkeypatch):
+        generated, _ = generate_synthetic(STALLED_FIT)
+        report, trials = logged_fit(monkeypatch, generated, ConvexSqrtTransform(1.0, 3.0), np.zeros(8))
+        assert report.termination == "line_search_stalled"
+        last_accepted = max(i for i, (*_, accepted) in enumerate(trials) if accepted)
+        assert 1 <= len(trials) - 1 - last_accepted <= 3
+
+    def test_realizable_fit_still_converges(self, monkeypatch):
+        # The loss falls toward 0, where the rounding floor vanishes.
+        generated, _ = generate_synthetic(SynthSpec(5000, 8, CS11, 0.0, seed=2))
+        with pytest.warns(TargetBoundWarning):
+            report, trials = logged_fit(monkeypatch, generated, CS11, np.zeros(8))
+        assert report.termination == "converged"
+        assert report.final_loss <= 1e-18
+        eps = np.finfo(float).eps
+        assert all(step * grad_sq >= eps * loss for step, grad_sq, loss, _ in trials)
