@@ -39,6 +39,7 @@ from .loss import Model, TargetBoundWarning, _bound_violation
 from .solver import (
     NonFiniteLossError,
     SolverConfig,
+    TERMINATION_AT_FLOOR,
     TERMINATION_CONVERGED,
     gd_fit,
     multi_restart_fit,
@@ -57,6 +58,9 @@ EXIT_OK = 0
 EXIT_DATA_ERROR = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_CHECK_FAILED = 5
+
+# Terminations that certify an optimum: fit exits 0 on them, and compare counts them as converged.
+_OPTIMAL = (TERMINATION_CONVERGED, TERMINATION_AT_FLOOR)
 
 # Every error the data layer raises for a bad file derives from one of these.
 _DATA_ERRORS = (OSError, ValueError)
@@ -239,7 +243,7 @@ def _cmd_fit(args) -> int:
         "transform": transform_to_dict(transform),
     }
     _emit(_report("fit", config_echo, results, started))
-    return EXIT_OK if best.termination == TERMINATION_CONVERGED else EXIT_NOT_CONVERGED
+    return EXIT_OK if best.termination in _OPTIMAL else EXIT_NOT_CONVERGED
 
 
 def _cmd_predict(args) -> int:
@@ -297,7 +301,7 @@ def _restart_summary(reports) -> dict:
         "min_loss": low,
         "max_loss": high,
         "relative_spread": (high - low) / (1.0 + low),
-        "n_converged": int(sum(r.termination == TERMINATION_CONVERGED for r in reports)),
+        "n_converged": int(sum(r.termination in _OPTIMAL for r in reports)),
     }
 
 

@@ -30,15 +30,18 @@ _QUOTED_CELL_CHARS = 64
 
 
 class NonNumericCellError(ValueError):
-    """A cell that should hold a finite number does not; the message names the file."""
+    """A cell that should hold a finite number does not; the message names the file when given."""
 
-    def __init__(self, path: str | Path, line: int, column: int, cell: str, reason: str = "is not a number"):
+    def __init__(
+        self, line: int, column: int, cell: str, reason: str = "is not a number", *, path: str | Path | None = None
+    ):
         self.line = int(line)
         self.column = int(column)
         quoted = repr(cell)
         if len(cell) > _QUOTED_CELL_CHARS:
             quoted = f"{cell[:_QUOTED_CELL_CHARS]!r}... ({len(cell)} characters)"
-        super().__init__(f"{path}: line {line}, column {column}: cell {quoted} {reason}")
+        prefix = "" if path is None else f"{path}: "
+        super().__init__(f"{prefix}line {line}, column {column}: cell {quoted} {reason}")
 
 
 @dataclass(frozen=True)
@@ -188,9 +191,9 @@ def _scan_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, 
                 try:
                     finite = math.isfinite(float(cell))
                 except ValueError:
-                    raise NonNumericCellError(path, line_no, column, cell) from None
+                    raise NonNumericCellError(line_no, column, cell, path=path) from None
                 if not finite:
-                    raise NonNumericCellError(path, line_no, column, cell, "is not finite") from None
+                    raise NonNumericCellError(line_no, column, cell, "is not finite", path=path) from None
         raise
     return header, matrix
 

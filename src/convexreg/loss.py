@@ -97,26 +97,11 @@ class Model:
 def _residual(transform: Transform, z, y):
     """``g(z) - y``, the one spelling of the residual.
 
-    The result takes numpy's promoted type of g(z) and y (float32 z with a
-    float64 y gives float64), and z and y are never written.  When g(z) is
-    a writeable array of that type, whose trailing axes are y's shape and
-    which shares no memory with z or y, y is subtracted into it, which
-    saves an N-element allocation; otherwise the subtraction is out of
-    place.  Both give the same bits.
+    The subtraction is out of place, so the result takes numpy's promoted
+    type of g(z) and y (float32 z with a float64 y gives float64), and z
+    and y are never written.
     """
-    value = transform.evaluate(z)
-    if (
-        isinstance(value, np.ndarray)
-        and isinstance(y, np.ndarray)
-        and value.flags.writeable
-        and np.promote_types(value.dtype, y.dtype) == value.dtype
-        and value.shape[value.ndim - y.ndim :] == y.shape
-        and not np.may_share_memory(value, z)
-        and not np.may_share_memory(value, y)
-    ):
-        value -= y
-        return value
-    return value - y
+    return transform.evaluate(z) - y
 
 
 def _slope(transform: Transform, z, residual):
@@ -263,3 +248,38 @@ def psd_condition_value(transform: Transform, z, y):
     gpp = transform.second_derivative(z)
     gp = transform.derivative(z)
     return 2.0 * gp * gp + 2.0 * _residual(transform, z, y) * gpp
+
+
+def _curvature(transform: Transform, z, y):
+    """Second derivative of the loss in z, ``2*g'(z)^2 + 2*(g(z)-y)*g''(z)``, for every transform.
+
+    Convex-sqrt has no second derivative at z = 0, so its curvature is the
+    closed form ``Y*alpha^2*(Y + sign(z)*y) / (2*u^1.5)`` with
+    ``u = alpha*|z| + 1``; at z = 0 that is the mean of the two one-sided
+    values.  Overflow is quiet: a huge |z| gives curvature 0.
+    """
+    if isinstance(transform, ConvexSqrtTransform):
+        with np.errstate(over="ignore"):
+            u = transform.alpha * np.abs(z) + 1.0
+            scale = transform.y_bound * (transform.alpha * transform.alpha) / (2.0 * u * np.sqrt(u))
+        return scale * (transform.y_bound + np.sign(z) * y)
+    return psd_condition_value(transform, z, y)
+
+
+def _hessian(features, targets, transform, z) -> np.ndarray:
+    """Loss Hessian ``sum_i l''(z_i, y_i) x_i x_i^T`` at a point with response z.
+
+    The samples are taken in blocks of about ``_BLOCK_ELEMENTS`` entries,
+    so the only temporary is one scaled block, and einsum adds each
+    block's rows without a BLAS call, as in :func:`_gradient`: the bits do
+    not depend on the BLAS thread count.
+    """
+    curvature = _curvature(transform, z, targets)
+    n_samples, n_features = features.shape
+    rows = max(1, _BLOCK_ELEMENTS // n_features)
+    hessian = np.zeros((n_features, n_features))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_samples, rows):
+            block = features[start : start + rows]
+            hessian += np.einsum("ij,ik->jk", block * curvature[start : start + rows, None], block)
+    return hessian

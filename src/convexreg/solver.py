@@ -7,6 +7,7 @@ restart reaches the same optimal loss value.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ from .loss import (
     _evaluate,
     _frozen,
     _gradient,
+    _hessian,
     _warn_if_outside_bound,
 )
 from .transforms import Transform
@@ -35,6 +37,7 @@ _PIVOT_RATIO = 1e-12
 TERMINATION_CONVERGED = "converged"
 TERMINATION_MAX_ITERS = "max_iters"
 TERMINATION_STALLED = "line_search_stalled"
+TERMINATION_AT_FLOOR = "converged_at_floor"
 
 
 class NonFiniteLossError(ValueError):
@@ -108,15 +111,22 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
 
     - ``converged``: gradient norm fell below ``grad_tol * (1 + |loss|)``;
     - ``max_iters``: iteration budget exhausted;
-    - ``line_search_stalled``: no trial with ``s * ||g||^2 >= eps * loss``
-      passes the Armijo test, where eps is float64 machine epsilon (the
-      loss is at its rounding floor).  Smaller trials are not evaluated: a
-      decrease below the loss's rounding could pass only by luck.  At
-      loss 0 the rule admits every step, and trials stop below 1e-16.
+    - ``converged_at_floor``: no trial with ``s * ||g||^2 >= eps * loss``
+      passes the Armijo test, where eps is float64 machine epsilon, and
+      the Newton decrement ``g^T H^-1 g / 2`` at the last point, which
+      estimates how much further the loss can fall, is at most
+      ``eps * loss``: the loss is optimal to its own rounding;
+    - ``line_search_stalled``: no such trial passes, but the decrement is
+      larger, or the loss Hessian H is not positive definite.
+
+    Trials with ``s * ||g||^2 < eps * loss`` are not evaluated: a decrease
+    below the loss's rounding could pass only by luck.  At loss 0 the rule
+    admits every step, and trials stop below 1e-16.
 
     One iteration costs one gradient reduction, which reuses the response
     and residual of the trial point accepted last, plus one mat-vec and
-    one transform evaluation per line-search trial.
+    one transform evaluation per line-search trial.  A fit whose line
+    search fails builds the loss Hessian once, at its last point.
 
     Raises NonFiniteLossError when the loss, or the gradient norm, at the
     starting point is not finite: no step from there can be judged.
@@ -155,11 +165,7 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
         step = step / _BACKTRACK
         accepted = False
         while step > _MIN_STEP and step * grad_sq >= _EPS * loss:
-            w_try = w - step * grad
-            # Every trial is evaluated from scratch at w_try, never by
-            # updating z along X @ grad: the carried z drifts, and the loss
-            # reported for the returned weights must be their exact loss.
-            z_try, residual_try, loss_try = _evaluate(features, targets, transform, w_try)
+            w_try, z_try, residual_try, loss_try = _trial(features, targets, transform, w, grad, step)
             # Strict decrease is required on top of the Armijo test: at the
             # floating-point floor the Armijo threshold rounds to loss itself,
             # which would otherwise accept zero-progress steps forever.
@@ -169,7 +175,8 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
                 break
             step *= _BACKTRACK
         if not accepted:
-            termination = TERMINATION_STALLED
+            at_floor = _newton_decrement(features, targets, transform, z, grad) <= _EPS * loss
+            termination = TERMINATION_AT_FLOOR if at_floor else TERMINATION_STALLED
             break
 
         w, z, residual, loss = w_try, z_try, residual_try, loss_try
@@ -187,11 +194,40 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     )
 
 
+def _trial(features, targets, transform, w, grad, step):
+    """The trial point ``w - step * grad`` with its response, residual and loss.
+
+    Every trial is evaluated from scratch, never by updating z along
+    ``X @ grad``: the carried z drifts, and the loss reported for the
+    returned weights must be their exact loss.
+    """
+    w_try = w - step * grad
+    return (w_try, *_evaluate(features, targets, transform, w_try))
+
+
 def _gradient_and_norm(features, transform, z, residual) -> tuple[np.ndarray, float]:
     """The loss gradient and its 2-norm, which is inf, without a RuntimeWarning, when it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         grad = _gradient(features, transform, z, residual)
         return grad, float(np.linalg.norm(grad))
+
+
+def _newton_decrement(features, targets, transform, z, grad) -> float:
+    """``g^T H^-1 g / 2`` at a point with response z, or inf when H is not positive definite.
+
+    H is the exact loss Hessian.  Near a minimum the decrement is how much
+    further the loss can fall (Boyd & Vandenberghe, *Convex Optimization*,
+    sec. 9.5.1).
+    """
+    hessian = _hessian(features, targets, transform, z)
+    if not np.all(np.isfinite(hessian)):
+        return math.inf
+    try:
+        factor = _cholesky_with_pivots(hessian)
+    except SingularSystemError:
+        return math.inf
+    half = np.linalg.solve(factor, grad)
+    return 0.5 * float(half @ half)
 
 
 def _cholesky_with_pivots(matrix: np.ndarray) -> np.ndarray:

@@ -254,6 +254,21 @@ class TestCompare:
         assert "tanh" in report["results"]
         assert len(report["results"]["tanh"]["final_losses"]) == 20
 
+    def test_fits_optimal_at_the_rounding_floor_exit_0(self, tmp_path):
+        # Noisy data with --y-bound auto: every fit ends when the line search
+        # can no longer resolve a decrease, at a point the Newton decrement
+        # certifies as optimal.
+        code, _, err = run_cli(
+            "synth", "--n", 5000, "--d", 8, "--noise", 0.1, "--seed", 2, "--out", tmp_path / "d.csv",
+        )
+        assert code == 0, err
+        code, out, err = run_cli("fit", "--data", tmp_path / "d.csv", "--y-bound", "auto")
+        assert code == 0, err
+        assert json.loads(out)["results"]["fit"]["termination"] == "converged_at_floor"
+        code, out, err = run_cli("compare", "--data", tmp_path / "d.csv")
+        assert code == 0, err
+        assert report_of(out)["results"]["convex-sqrt"]["n_converged"] >= 1
+
     def test_too_few_restarts(self, synth_dir):
         code, _, err = run_cli("compare", "--data", synth_dir / "data.csv", "--restarts", 5)
         assert code == 2

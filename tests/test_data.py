@@ -185,6 +185,12 @@ class TestLoadCsv:
         assert set(messages) == {f"{path}: line 3, column 1: cell {'1' * 64!r}... (200000 characters) is not finite"}
         assert csv.field_size_limit() == limit
 
+    def test_non_numeric_cell_error_names_the_file_only_when_given(self):
+        err = NonNumericCellError(3, 2, "abc")
+        assert (err.line, err.column, str(err)) == (3, 2, "line 3, column 2: cell 'abc' is not a number")
+        err = NonNumericCellError(3, 2, "inf", "is not finite", path="d.csv")
+        assert str(err) == "d.csv: line 3, column 2: cell 'inf' is not finite"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(DatasetSpec(tmp_path / "nope.csv"))

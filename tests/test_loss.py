@@ -24,7 +24,7 @@ from convexreg import (
     total_gradient,
     total_loss,
 )
-from convexreg.loss import _bound_violation, _evaluate, _residual
+from convexreg.loss import _bound_violation, _evaluate
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 
@@ -156,54 +156,6 @@ class TestInPlaceKernels:
                 assert_same_value(got, want)
         assert_same_value(features, frozen[0])
         assert_same_value(targets, frozen[1])
-
-    @pytest.mark.parametrize("returns", ["its-input", "a-view-of-the-targets"])
-    def test_evaluate_leaves_aliased_arrays_unwritten(self, returns):
-        rng = np.random.default_rng(211)
-        features, targets, w = rng.normal(size=(40, 3)), rng.normal(size=40), rng.normal(size=3)
-        frozen = features.copy(), targets.copy()
-        t = Aliasing(targets[:] if returns == "a-view-of-the-targets" else None)
-        z, residual, loss = _evaluate(features, targets, t, w)
-        expected_z = frozen[0] @ w
-        expected_residual = t.evaluate(expected_z) - targets
-        assert_same_value(z, expected_z)
-        assert_same_value(residual, expected_residual)
-        assert loss == float(np.sum(expected_residual * expected_residual))
-        assert_same_value(features, frozen[0])
-        assert_same_value(targets, frozen[1])
-
-    @pytest.mark.parametrize("t", [CS11, AffineTransform(2.0, 0.5), TanhTransform(1.5)], ids=repr)
-    def test_residual_is_written_into_a_fresh_transform_value(self, t):
-        rng = np.random.default_rng(212)
-        z, y = rng.normal(size=(3, 40)), rng.normal(size=40)
-        recording = Recording(t)
-        residual = _residual(recording, z, y)
-        assert np.shares_memory(residual, recording.value)
-        assert_same_value(residual, t.evaluate(z) - y)
-
-
-class Aliasing:
-    """A test-only transform whose value is its input array, or a fixed array."""
-
-    def __init__(self, value=None):
-        self.value = value
-
-    def evaluate(self, z):
-        return z if self.value is None else self.value
-
-    def derivative(self, z):
-        return np.ones_like(z)
-
-
-class Recording:
-    """Wraps a transform and keeps the last array its ``evaluate`` returned."""
-
-    def __init__(self, transform):
-        self.transform = transform
-
-    def evaluate(self, z):
-        self.value = self.transform.evaluate(z)
-        return self.value
 
 
 class TestLossZ:

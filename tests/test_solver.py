@@ -29,6 +29,7 @@ from convexreg import (
     total_loss,
 )
 from convexreg import solver
+from convexreg.loss import _curvature as loss_curvature
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 
@@ -262,7 +263,7 @@ class TestMultiRestart:
             assert reports[index].to_dict() == expected.to_dict()
 
 
-# Prints the bits of a gradient and of a short fit at 200,000 x 21.  Below
+# Prints the bits of a gradient, a Hessian and a short fit at 200,000 x 21.  Below
 # about that size the thread-unstable reductions (c @ X, X.T @ c) still
 # give the same bits at one and two BLAS threads, so a smaller matrix
 # would not catch them.
@@ -272,6 +273,7 @@ _THREAD_PROBE = textwrap.dedent(
     import numpy as np
     from convexreg import ConvexSqrtTransform, Dataset, Model, SolverConfig, SynthSpec
     from convexreg import gd_fit, generate_synthetic, total_gradient
+    from convexreg.loss import _hessian
 
     generated, _ = generate_synthetic(SynthSpec(200_000, 20, ConvexSqrtTransform(1.0, 1.0), 0.05, seed=5))
     dataset = Dataset(
@@ -280,13 +282,15 @@ _THREAD_PROBE = textwrap.dedent(
     transform = ConvexSqrtTransform(1.0, 3.0)
     model = Model(np.full(21, 0.1), transform)
     print(total_gradient(model, dataset).tobytes().hex())
+    z = dataset.features @ model.weights
+    print(_hessian(dataset.features, dataset.targets, transform, z).tobytes().hex())
     report = gd_fit(dataset, transform, np.zeros(21), SolverConfig(max_iters=3))
     print(json.dumps(report.to_dict()))
     """
 )
 
 
-# With Y = 3 this fit reaches the loss's rounding floor and stalls.
+# With Y = 3 this fit reaches the loss's rounding floor, where it is optimal.
 STALLED_FIT = SynthSpec(5000, 8, CS11, 0.1, seed=2)
 
 
@@ -317,7 +321,7 @@ class TestReproducibility:
         generated, _ = generate_synthetic(STALLED_FIT)
         transform = ConvexSqrtTransform(1.0, 3.0)
         report = gd_fit(generated, transform, np.zeros(8))
-        assert report.termination == "line_search_stalled"
+        assert report.termination == "converged_at_floor"
         model = Model(report.final_weights, transform)
         assert report.final_loss == total_loss(model, generated)
         assert report.final_grad_norm == float(np.linalg.norm(total_gradient(model, generated)))
@@ -326,62 +330,36 @@ class TestReproducibility:
 def logged_fit(monkeypatch, dataset, transform, w0):
     """Run gd_fit and return its report and every line-search trial, in order.
 
-    A trial is ``(step, grad_sq, loss, accepted)``: its step, the squared
-    gradient norm and the loss at the point it leaves, and whether the
-    line search took it.  Steps are powers of two, so each is recovered
-    exactly from the distance between the point and the trial; a trial
-    that does not move the weights counts as step 0.
+    A trial is ``(step, grad_sq, loss, w)``: its step, and the squared
+    gradient norm, the loss and the weights of the point it leaves.
     """
-    events = []
-    evaluate, gradient_and_norm = solver._evaluate, solver._gradient_and_norm
-
-    def logged_evaluate(features, targets, transform, weights):
-        result = evaluate(features, targets, transform, weights)
-        events.append(("evaluate", np.array(weights), result[2]))
-        return result
-
-    def logged_gradient_and_norm(*args):
-        result = gradient_and_norm(*args)
-        events.append(("gradient", *result))
-        return result
-
-    monkeypatch.setattr(solver, "_evaluate", logged_evaluate)
-    monkeypatch.setattr(solver, "_gradient_and_norm", logged_gradient_and_norm)
-    report = gd_fit(dataset, transform, w0)
-
     trials = []
-    (_, w, loss), (_, _, grad_norm) = events[:2]
-    for index, (kind, w_try, loss_try) in enumerate(events[2:], start=2):
-        if kind != "evaluate":
-            continue
-        distance = float(np.linalg.norm(w - w_try))
-        step = 2.0 ** round(np.log2(distance / grad_norm)) if distance else 0.0
-        accepted = index + 1 < len(events) and events[index + 1][0] == "gradient"
-        trials.append((step, grad_norm * grad_norm, loss, accepted))
-        if accepted:
-            w, loss = w_try, loss_try
-            grad_norm = events[index + 1][2]
-    return report, trials
+    trial = solver._trial
+
+    def logged_trial(features, targets, transform, w, grad, step):
+        grad_norm = float(np.linalg.norm(grad))
+        loss = solver._evaluate(features, targets, transform, w)[2]
+        trials.append((step, grad_norm * grad_norm, loss, w))
+        return trial(features, targets, transform, w, grad, step)
+
+    monkeypatch.setattr(solver, "_trial", logged_trial)
+    return gd_fit(dataset, transform, w0), trials
 
 
-class TestLineSearchFloor:
-    """The line search evaluates no trial whose decrease is below the loss's rounding."""
+EPS = np.finfo(float).eps
 
-    def test_no_trial_below_the_rounding_floor(self, monkeypatch):
+
+class TestRoundingFloor:
+    """The line search evaluates no trial whose decrease is below the loss's rounding,
+    and a fit that stalls there is certified by its Newton decrement."""
+
+    def test_final_search_stops_at_the_floor(self, monkeypatch):
         generated, _ = generate_synthetic(STALLED_FIT)
         report, trials = logged_fit(monkeypatch, generated, ConvexSqrtTransform(1.0, 3.0), np.zeros(8))
-        assert report.termination == "line_search_stalled"
-        assert sum(accepted for *_, accepted in trials) == report.iterations
-        eps = np.finfo(float).eps
-        below = [t for t in trials if t[0] * t[1] < eps * t[2]]
-        assert below == []
-
-    def test_stall_costs_at_most_three_trials(self, monkeypatch):
-        generated, _ = generate_synthetic(STALLED_FIT)
-        report, trials = logged_fit(monkeypatch, generated, ConvexSqrtTransform(1.0, 3.0), np.zeros(8))
-        assert report.termination == "line_search_stalled"
-        last_accepted = max(i for i, (*_, accepted) in enumerate(trials) if accepted)
-        assert 1 <= len(trials) - 1 - last_accepted <= 3
+        assert report.termination == "converged_at_floor"
+        assert all(step * grad_sq >= EPS * loss for step, grad_sq, loss, _ in trials)
+        final_search = [t for t in trials if np.array_equal(t[3], report.final_weights)]
+        assert len(final_search) <= 3
 
     def test_realizable_fit_still_converges(self, monkeypatch):
         # The loss falls toward 0, where the rounding floor vanishes.
@@ -390,5 +368,31 @@ class TestLineSearchFloor:
             report, trials = logged_fit(monkeypatch, generated, CS11, np.zeros(8))
         assert report.termination == "converged"
         assert report.final_loss <= 1e-18
-        eps = np.finfo(float).eps
-        assert all(step * grad_sq >= eps * loss for step, grad_sq, loss, _ in trials)
+        assert all(step * grad_sq >= EPS * loss for step, grad_sq, loss, _ in trials)
+
+    def test_decrement_is_what_a_quadratic_loss_can_still_lose(self):
+        rng = np.random.default_rng(31)
+        features, targets = rng.normal(size=(300, 4)), rng.normal(size=300)
+        transform, w = AffineTransform(1.5, 0.2), rng.normal(size=4)
+        z, residual, loss = solver._evaluate(features, targets, transform, w)
+        grad = solver._gradient(features, transform, z, residual)
+        best = np.linalg.lstsq(features, (targets - 0.2) / 1.5, rcond=None)[0]
+        remaining = loss - solver._evaluate(features, targets, transform, best)[2]
+        decrement = solver._newton_decrement(features, targets, transform, z, grad)
+        assert decrement == pytest.approx(remaining, rel=1e-9)
+
+    def test_singular_hessian_has_no_decrement(self):
+        rng = np.random.default_rng(32)
+        column = rng.normal(size=(200, 1))
+        features, targets = np.hstack([column, column]), rng.normal(size=200)
+        z, residual, _ = solver._evaluate(features, targets, CS11, np.array([0.3, -0.1]))
+        grad = solver._gradient(features, CS11, z, residual)
+        assert solver._newton_decrement(features, targets, CS11, z, grad) == np.inf
+
+    def test_convex_sqrt_curvature_matches_finite_differences(self):
+        transform = ConvexSqrtTransform(2.0, 1.5)
+        z = np.array([-3.0, -0.4, 0.25, 2.0])
+        y = np.array([1.5, -0.7, 0.3, -1.5])
+        h = 1e-4
+        fd = (loss_z(transform, z + h, y) - 2.0 * loss_z(transform, z, y) + loss_z(transform, z - h, y)) / (h * h)
+        np.testing.assert_allclose(loss_curvature(transform, z, y), fd, rtol=1e-6, atol=1e-6)
