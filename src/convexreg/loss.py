@@ -175,6 +175,8 @@ def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.nda
 
 # A block of stacked responses holds about this many entries (1 MiB).
 _BLOCK_ELEMENTS = 2**17
+# A block of the Hessian's samples (128 KiB) stays in a core's L2 cache.
+_HESSIAN_BLOCK_ELEMENTS = 2**14
 # GEMM kernels tile the samples.  A partial last tile takes another code
 # path that rounds differently, and where partial tiles fall depends on how
 # the BLAS splits the product between threads; zero rows pad the samples to
@@ -269,17 +271,17 @@ def _curvature(transform: Transform, z, y):
 def _hessian(features, targets, transform, z) -> np.ndarray:
     """Loss Hessian ``sum_i l''(z_i, y_i) x_i x_i^T`` at a point with response z.
 
-    The samples are taken in blocks of about ``_BLOCK_ELEMENTS`` entries,
-    so the only temporary is one scaled block, and einsum adds each
-    block's rows without a BLAS call, as in :func:`_gradient`: the bits do
-    not depend on the BLAS thread count.
+    The samples are taken in blocks of about ``_HESSIAN_BLOCK_ELEMENTS``
+    entries, transposed so that einsum reduces each entry as one
+    contiguous dot product.  It calls no BLAS, as in :func:`_gradient`, so
+    the bits do not depend on the BLAS thread count.
     """
     curvature = _curvature(transform, z, targets)
     n_samples, n_features = features.shape
-    rows = max(1, _BLOCK_ELEMENTS // n_features)
+    rows = max(1, _HESSIAN_BLOCK_ELEMENTS // n_features)
     hessian = np.zeros((n_features, n_features))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_samples, rows):
-            block = features[start : start + rows]
-            hessian += np.einsum("ij,ik->jk", block * curvature[start : start + rows, None], block)
+            block = features[start : start + rows].T.copy()
+            hessian += np.einsum("ji,ki->jk", block * curvature[start : start + rows], block)
     return hessian
