@@ -263,17 +263,18 @@ class TestMultiRestart:
             assert reports[index].to_dict() == expected.to_dict()
 
 
-# Prints the bits of a gradient, a Hessian and a short fit at 200,000 x 21.  Below
-# about that size the thread-unstable reductions (c @ X, X.T @ c) still
-# give the same bits at one and two BLAS threads, so a smaller matrix
-# would not catch them.
+# Prints the bits of a gradient, a Hessian, a Newton decrement and a short
+# fit at 200,000 x 21.  Below about that size the thread-unstable reductions
+# (c @ X, X.T @ c) still give the same bits at one and two BLAS threads, so
+# a smaller matrix would not catch them.
 _THREAD_PROBE = textwrap.dedent(
     """
     import json
     import numpy as np
     from convexreg import ConvexSqrtTransform, Dataset, Model, SolverConfig, SynthSpec
     from convexreg import gd_fit, generate_synthetic, total_gradient
-    from convexreg.loss import _hessian
+    from convexreg.loss import _gradient, _hessian
+    from convexreg.solver import _newton_decrement
 
     generated, _ = generate_synthetic(SynthSpec(200_000, 20, ConvexSqrtTransform(1.0, 1.0), 0.05, seed=5))
     dataset = Dataset(
@@ -284,6 +285,8 @@ _THREAD_PROBE = textwrap.dedent(
     print(total_gradient(model, dataset).tobytes().hex())
     z = dataset.features @ model.weights
     print(_hessian(dataset.features, dataset.targets, transform, z).tobytes().hex())
+    grad = _gradient(dataset.features, transform, z, transform.evaluate(z) - dataset.targets)
+    print(_newton_decrement(dataset.features, dataset.targets, transform, z, grad).hex())
     report = gd_fit(dataset, transform, np.zeros(21), SolverConfig(max_iters=3))
     print(json.dumps(report.to_dict()))
     """
