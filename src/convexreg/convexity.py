@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _losses
+from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _evaluate, _gradient
 from .transforms import Transform, UnsupportedTransformError
 
 _MAX_HESSIAN_DIM = 50
@@ -34,7 +34,7 @@ class InvalidGridError(ValueError):
 
 
 class DimensionTooLargeError(ValueError):
-    """The dense finite-difference Hessian is limited to 50 dimensions."""
+    """The finite-difference Hessian check is limited to 50 dimensions."""
 
 
 class NonFiniteCheckError(ValueError):
@@ -42,7 +42,7 @@ class NonFiniteCheckError(ValueError):
 
 
 class NonFiniteHessianError(NonFiniteCheckError):
-    """A finite-difference stencil loss or Hessian entry is not finite, so no PSD verdict exists."""
+    """A loss at a finite-difference point, or a Hessian entry, is not finite, so no PSD verdict exists."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,61 +226,37 @@ def derivative_monotonicity_check(
     )
 
 
-# Signs of (s_i, s_j) at the four corners of each cross-difference stencil.
-_CORNER_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Central differences of the loss gradient at ``w ± s_i e_i``, one column per i.
 
-
-def _stencil(w: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """The ``1 + 2d^2`` central-difference points as rows.
-
-    Row 0 is w; then ``w + s_i e_i`` and ``w - s_i e_i`` for each i; then,
-    for each pair i < j in row-major order, ``w ± s_i e_i ± s_j e_j`` at
-    the corners (+, +), (+, -), (-, +), (-, -).  Entries not stepped are
-    ``w + 0.0``; a stepped entry is ``w_i ± s_i``.
+    Column i is ``(grad L(w + s_i e_i) - grad L(w - s_i e_i)) / h_i`` with
+    ``h_i = (w_i + s_i) - (w_i - s_i)``, the step as it is represented; a
+    step below the ulp of w_i gives 0/0.  Raises NonFiniteHessianError
+    when a loss or an entry is not finite.
     """
     d = w.size
-    rows, cols = np.triu_indices(d, 1)
-    points = np.tile(w + 0.0, (1 + 2 * d * d, 1))
-    points[0] = w
-    axial = points[1 : 1 + 2 * d].reshape(d, 2, d)
-    diagonal = np.arange(d)
-    axial[diagonal, 0, diagonal] = w + steps
-    axial[diagonal, 1, diagonal] = w - steps
-    corners = points[1 + 2 * d :].reshape(rows.size, 4, d)
-    pair = np.arange(rows.size)
-    corners[pair, :, rows] = w[rows, None] + _CORNER_SIGNS[0] * steps[rows, None]
-    corners[pair, :, cols] = w[cols, None] + _CORNER_SIGNS[1] * steps[cols, None]
-    return points
-
-
-def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """Central-difference Hessian of the total loss from the losses at :func:`_stencil`.
-
-    Raises NonFiniteHessianError when a stencil loss or an entry is not finite.
-    """
-    losses = _losses(dataset.features, dataset.targets, transform, _stencil(w, steps))
+    losses = np.empty(2 * d)
+    hessian = np.empty((d, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            gradients = []
+            for k, step in enumerate((steps[i], -steps[i])):
+                point = w.copy()
+                point[i] = w[i] + step
+                z, residual, losses[2 * i + k] = _evaluate(dataset.features, dataset.targets, transform, point)
+                gradients.append(_gradient(dataset.features, transform, z, residual))
+            hessian[:, i] = (gradients[0] - gradients[1]) / ((w[i] + steps[i]) - (w[i] - steps[i]))
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
         raise NonFiniteHessianError(
             f"the loss is not finite at {bad.size} of {losses.size} finite-difference "
-            f"stencil points (first: {float(losses[bad[0]])!r} at point {int(bad[0])})"
+            f"points (first: {float(losses[bad[0]])!r} at point {int(bad[0])})"
         )
-    d = w.size
-    base = losses[0]
-    plus, minus = losses[1 : 1 + 2 * d].reshape(d, 2).T
-    corners = losses[1 + 2 * d :].reshape(-1, 4).T
-    rows, cols = np.triu_indices(d, 1)
-    hessian = np.empty((d, d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        hessian[np.diag_indices(d)] = (plus - 2.0 * base + minus) / (steps * steps)
-        cross = (corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * steps[rows] * steps[cols])
-    hessian[rows, cols] = cross
-    hessian[cols, rows] = cross
     if not np.all(np.isfinite(hessian)):
         i, j = np.argwhere(~np.isfinite(hessian))[0]
         raise NonFiniteHessianError(
             f"finite-difference Hessian entry ({i}, {j}) is {float(hessian[i, j])!r}: "
-            "the stencil losses are too large, or the steps too small, to difference"
+            "the gradients are too large, or the steps too small, to difference"
         )
     return hessian
 
@@ -295,12 +271,13 @@ def fd_hessian_psd_check(
 ) -> ConvexityReport:
     """Finite-difference Hessian of the total loss at w, tested for PSD.
 
-    Central differences with per-coordinate step ``fd_step * (1 + |w_i|)``
-    build the full symmetric matrix; it is symmetrized as (H + H^T)/2 and
-    its minimum eigenvalue, normalized by ``1 + max |H entry|``, is the
-    reported slack.  The witness pairs w with the offending eigenvector.
-    Dense eigensolve, so the dimension is capped at 50.  Raises
-    NonFiniteHessianError when a stencil loss or an entry is not finite.
+    Central differences of the loss gradient with per-coordinate step
+    ``fd_step * (1 + |w_i|)`` build the matrix from 2d gradient passes; it
+    is symmetrized as (H + H^T)/2 and its minimum eigenvalue, normalized
+    by ``1 + max |H entry|``, is the reported slack.  The witness pairs w
+    with the offending eigenvector.  The check is a cross-check for small
+    problems, so the dimension is capped at 50.  Raises
+    NonFiniteHessianError when a loss or an entry is not finite.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size != dataset.n_features:

@@ -173,46 +173,8 @@ def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.nda
         return z, residual, float(np.sum(residual * residual))
 
 
-# A block of stacked responses holds about this many entries (1 MiB).
-_BLOCK_ELEMENTS = 2**17
 # A block of the Hessian's samples (128 KiB) stays in a core's L2 cache.
 _HESSIAN_BLOCK_ELEMENTS = 2**14
-# GEMM kernels tile the samples.  A partial last tile takes another code
-# path that rounds differently, and where partial tiles fall depends on how
-# the BLAS splits the product between threads; zero rows pad the samples to
-# whole tiles of every common size.
-_SAMPLE_TILE = 64
-
-
-def _losses(features, targets, transform, points: np.ndarray) -> np.ndarray:
-    """Summed squared loss at each row of ``points``, evaluated in row blocks.
-
-    Each block costs one GEMM, ``points[block] @ X.T``, which reads X once
-    for all its rows instead of once per point; the residual is then
-    squared and summed along each row in place, pairwise as in
-    :func:`_evaluate`.  A GEMM rounds z differently from the mat-vec in
-    :func:`_evaluate` (by a few ulps), so the two agree to rounding, not
-    bit for bit.  The samples are padded to whole tiles, so the bits do
-    not depend on the BLAS thread count.  The last block overlaps the one
-    before it instead of running short, so every GEMM of a call has one
-    shape and a point's bits do not depend on its block (a one-row block
-    would even go to gemv).  Overflow is quiet, as in :func:`_evaluate`.
-    """
-    n_samples, n_features = features.shape
-    padded = np.zeros((-(-n_samples // _SAMPLE_TILE) * _SAMPLE_TILE, n_features))
-    padded[:n_samples] = features
-    n_points = points.shape[0]
-    rows = min(n_points, max(2, _BLOCK_ELEMENTS // padded.shape[0]))
-    losses = np.empty(n_points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_points, rows):
-            start = min(start, n_points - rows)
-            stop = start + rows
-            z = (points[start:stop] @ padded.T)[:, :n_samples]
-            residual = _residual(transform, z, targets)
-            residual *= residual
-            losses[start:stop] = residual.sum(axis=1)
-    return losses
 
 
 def _gradient(features, transform, z, residual) -> np.ndarray:

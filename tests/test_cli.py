@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from convexreg import Model, transform_from_dict
+from convexreg import Model, cli, transform_from_dict
 
 
 def run_cli(*args, cwd=None):
@@ -18,6 +18,13 @@ def run_cli(*args, cwd=None):
         cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(capsys, *args):
+    """Run the CLI in this process, so that a line trace of the suite sees the code it runs."""
+    code = cli.main([str(arg) for arg in args])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def report_of(stdout):
@@ -133,6 +140,16 @@ class TestFit:
             assert report["results"]["warnings"], "expected a recorded hypothesis warning"
             assert "bound" in report["results"]["warnings"][0]
 
+    @pytest.mark.parametrize("column, echo", [("target", "target"), ("0", 0)], ids=["name", "index"])
+    def test_target_column_is_a_name_or_an_index(self, synth_dir, capsys, column, echo):
+        # With x1 as the target the fit stalls (exit 4), so only the echo and the weights are pinned.
+        code, out, err = run_main(capsys, "fit", "--data", synth_dir / "data.csv", "--target-column", column)
+        assert code in (0, 4), err
+        report = report_of(out)
+        assert report["config_echo"]["target_column"] == echo
+        assert type(report["config_echo"]["target_column"]) is type(echo)
+        assert len(report["results"]["fit"]["final_weights"]) == 4  # 3 columns + bias
+
     def test_missing_data_file(self, tmp_path):
         code, _, err = run_cli("fit", "--data", tmp_path / "absent.csv")
         assert code == 3
@@ -230,6 +247,12 @@ class TestVerify:
         assert failed
         assert any(c["witness"] is not None for c in failed)
 
+    @pytest.mark.parametrize("alpha", ["1e-6", "1e-3"])
+    def test_convex_sqrt_passes_at_small_alpha(self, alpha):
+        code, out, err = run_cli("verify", "--alpha", alpha, "--samples", 4000)
+        assert code == 0, err
+        assert report_of(out)["results"]["all_passed"] is True
+
     def test_auto_y_bound_rejected(self):
         code, _, err = run_cli("verify", "--transform", "convex-sqrt", "--y-bound", "auto")
         assert code == 2
@@ -268,6 +291,18 @@ class TestCompare:
         code, out, err = run_cli("compare", "--data", tmp_path / "d.csv")
         assert code == 0, err
         assert report_of(out)["results"]["convex-sqrt"]["n_converged"] >= 1
+
+    def test_no_converged_restart_exits_4(self, synth_dir, capsys):
+        code, out, err = run_main(capsys, "compare", "--data", synth_dir / "data.csv", "--max-iters", 1)
+        assert code == 4, err
+        assert report_of(out)["results"]["convex-sqrt"]["n_converged"] == 0
+
+    def test_overflowing_loss_exits_3(self, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("x,y\n1,1e200\n2,-1e200\n3,1e200\n")
+        code, out, err = run_main(capsys, "compare", "--data", tmp_path / "d.csv")
+        assert code == 3
+        assert out == ""
+        assert "loss at the starting point is inf" in err
 
     def test_too_few_restarts(self, synth_dir):
         code, _, err = run_cli("compare", "--data", synth_dir / "data.csv", "--restarts", 5)

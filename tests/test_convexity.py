@@ -35,9 +35,8 @@ from convexreg import (
     total_loss,
     verification_battery,
 )
-from convexreg import loss
-from convexreg.convexity import _CHUNK, _fd_hessian, _stencil
-from convexreg.loss import _evaluate, _losses
+from convexreg.convexity import _CHUNK, _fd_hessian
+from convexreg.loss import _evaluate, _hessian
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 TANH1 = TanhTransform(1.0)
@@ -327,10 +326,15 @@ class TestHessianCheck:
 
 
 def per_point_fd_hessian(dataset, transform, w, steps):
-    """The central-difference Hessian with one mat-vec loss evaluation per stencil point."""
+    """The loss-only oracle: second differences of the loss at 1 + 2d^2 points, one mat-vec each.
+
+    Returns the Hessian and the largest loss it evaluated.
+    """
+    losses = []
 
     def value(point):
-        return _evaluate(dataset.features, dataset.targets, transform, point)[2]
+        losses.append(_evaluate(dataset.features, dataset.targets, transform, point)[2])
+        return losses[-1]
 
     d = w.size
     hessian = np.empty((d, d))
@@ -345,7 +349,7 @@ def per_point_fd_hessian(dataset, transform, w, steps):
             hessian[i, j] = hessian[j, i] = (
                 value(w + e_i + e_j) - value(w + e_i - e_j) - value(w - e_i + e_j) + value(w - e_i - e_j)
             ) / (4.0 * steps[i] * steps[j])
-    return hessian
+    return hessian, max(losses)
 
 
 def hessian_problem(n, d, seed):
@@ -354,72 +358,49 @@ def hessian_problem(n, d, seed):
     return generated, w, 1e-5 * (1.0 + np.abs(w))
 
 
-# Prints the bytes of the stencil losses at 2,621 x 20 (801 points in blocks
-# of 49).  Unpadded, 2,621 samples leave a partial GEMM tile whose place
-# depends on the thread split, and OpenBLAS's bits change with it.
-_STENCIL_PROBE = textwrap.dedent(
+# Prints the bytes of the FD Hessian at 2,621 x 20, a sample count that is
+# not a multiple of any BLAS tile.
+_FD_PROBE = textwrap.dedent(
     """
     from convexreg import ConvexSqrtTransform, SynthSpec, generate_synthetic
-    from convexreg.convexity import _stencil
-    from convexreg.loss import _losses
+    from convexreg.convexity import _fd_hessian
 
     generated, w = generate_synthetic(SynthSpec(2621, 20, ConvexSqrtTransform(1.0, 1.0), 0.05, seed=9))
-    points = _stencil(w, 1e-5 * (1.0 + abs(w)))
-    print(_losses(generated.features, generated.targets, ConvexSqrtTransform(1.0, 3.0), points).tobytes().hex())
+    print(_fd_hessian(generated, ConvexSqrtTransform(1.0, 3.0), w, 1e-5 * (1.0 + abs(w))).tobytes().hex())
     """
 )
 
+TRANSFORMS = [ConvexSqrtTransform(1.0, 3.0), TanhTransform(2.0), AffineTransform(1.5, 0.2)]
 
-class TestBlockedStencil:
-    """The stencil losses come from row blocks of one GEMM each."""
 
-    @pytest.mark.parametrize("transform", [ConvexSqrtTransform(1.0, 3.0), TanhTransform(2.0), AffineTransform(1.5, 0.2)],
-                             ids=repr)
+class TestGradientDifferences:
+    """The FD Hessian's columns are central differences of the loss gradient."""
+
+    @pytest.mark.parametrize("transform", TRANSFORMS, ids=repr)
     def test_matches_per_point_reference(self, transform):
         dataset, w, steps = hessian_problem(500, 6, seed=31)
         hessian = _fd_hessian(dataset, transform, w, steps)
-        reference = per_point_fd_hessian(dataset, transform, w, steps)
-        losses = [_evaluate(dataset.features, dataset.targets, transform, p)[2] for p in _stencil(w, steps)]
-        # Each of the four losses in an entry may differ from its mat-vec value
-        # by a few ulps of the largest loss, since a GEMM rounds z differently.
-        bound = 16.0 * np.finfo(float).eps * max(np.abs(losses)) / np.outer(steps, steps)
+        reference, largest_loss = per_point_fd_hessian(dataset, transform, w, steps)
+        # Each of the oracle's four losses in an entry carries a few ulps of
+        # the largest loss; the gradient differences are far more exact.
+        bound = 16.0 * np.finfo(float).eps * largest_loss / np.outer(steps, steps)
         assert np.all(np.abs(hessian - reference) <= bound)
-        # Far below the entries themselves, so a misplaced or mis-signed point shows.
+        # Far below the entries themselves, so a misplaced or mis-signed column shows.
         assert bound.max() < 1e-4 * np.abs(reference).max()
 
-    def test_stencil_rows(self):
-        w, steps = np.array([1.0, -0.0, 2.0]), np.array([0.5, 0.25, 0.125])
-        points = _stencil(w, steps)
-        assert points.shape == (19, 3)
-        expected = [w]
-        for i in range(3):
-            for sign in (1.0, -1.0):
-                expected.append(w + 0.0 + sign * steps[i] * np.eye(3)[i])
-        for i in range(3):
-            for j in range(i + 1, 3):
-                for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                    expected.append(w + 0.0 + si * steps[i] * np.eye(3)[i] + sj * steps[j] * np.eye(3)[j])
-        assert np.array_equal(points, np.array(expected))
-
-    def test_same_bytes_for_every_block_split(self, monkeypatch):
-        # At 1,000 x 4 a one-row product (gemv) changes the last point's bits.
-        dataset, w, steps = hessian_problem(1000, 4, seed=32)
-        points = _stencil(w, steps)  # 33 points
-        transform = ConvexSqrtTransform(1.0, 3.0)
-        padded_rows = 1024
-        monkeypatch.setattr(loss, "_BLOCK_ELEMENTS", padded_rows * points.shape[0])
-        whole = _losses(dataset.features, dataset.targets, transform, points)
-        # Blocks of 1 (raised to 2) to 32 rows; 2, 4, 8, 16 and 32 would leave a last block of one point.
-        for rows in range(1, points.shape[0]):
-            monkeypatch.setattr(loss, "_BLOCK_ELEMENTS", padded_rows * rows)
-            split = _losses(dataset.features, dataset.targets, transform, points)
-            assert split.tobytes() == whole.tobytes(), rows
+    @pytest.mark.parametrize("transform", TRANSFORMS, ids=repr)
+    def test_matches_exact_hessian(self, transform):
+        dataset, w, steps = hessian_problem(5000, 50, seed=33)
+        hessian = _fd_hessian(dataset, transform, w, steps)
+        exact = _hessian(dataset.features, dataset.targets, transform,
+                         _evaluate(dataset.features, dataset.targets, transform, w)[0])
+        assert np.abs(hessian - exact).max() <= 1e-8 * np.abs(exact).max()
 
     def test_same_bytes_at_one_and_two_blas_threads(self):
         outputs = []
         for threads in ("1", "2"):
             proc = subprocess.run(
-                [sys.executable, "-c", _STENCIL_PROBE],
+                [sys.executable, "-c", _FD_PROBE],
                 capture_output=True,
                 text=True,
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
@@ -430,7 +411,7 @@ class TestBlockedStencil:
 
     def test_non_finite_loss_raises(self):
         dataset = Dataset(np.array([[1.0], [2.0]]), np.array([1e200, -1e200]))
-        with pytest.raises(NonFiniteHessianError, match="loss is not finite at 3 of 3"):
+        with pytest.raises(NonFiniteHessianError, match="loss is not finite at 2 of 2"):
             fd_hessian_psd_check(dataset, CS11, np.array([0.5]))
 
     def test_non_finite_hessian_is_a_non_finite_check(self):
@@ -553,6 +534,20 @@ class TestVerificationBattery:
         failed = [c for c in checks if not c.passed]
         assert failed
         assert any(c.check_name == "nonconvex_witness_search" for c in failed)
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 1e12])
+    def test_fd_hessian_passes_at_extreme_alpha(self, alpha):
+        checks = verification_battery(ConvexSqrtTransform(alpha, 1.0), 1.0, 100, seed=0)
+        fd = [c for c in checks if c.check_name.startswith("fd_hessian_psd")]
+        assert len(fd) == 3
+        assert all(c.passed for c in fd), [c.worst_violation for c in fd]
+
+    def test_affine_draws_give_equal_slacks(self):
+        # The affine loss is quadratic, so its Hessian is the same at every w.
+        checks = verification_battery(AFF, 1.0, 100, seed=0)
+        slacks = [c.worst_violation for c in checks if c.check_name.startswith("fd_hessian_psd")]
+        assert len(slacks) == 3
+        assert max(slacks) - min(slacks) <= 1e-9
 
     def test_deterministic(self):
         a = verification_battery(ConvexSqrtTransform(2.0, 1.5), 1.5, 2000, seed=11)

@@ -193,6 +193,14 @@ class TestOlsFit:
             ols_fit(dataset)
         assert err.value.pivot_index == 0
 
+    def test_small_pivot_found_after_the_loop(self):
+        # Each pivot passes when it is taken (1 is the largest so far); only the
+        # final check sees that 1 is below 1e-12 of the later pivot 1e14.
+        dataset = Dataset(np.array([[1.0, 0.0], [0.0, 1e7]]), np.array([1.0, 2.0]))
+        with pytest.raises(SingularSystemError) as err:
+            ols_fit(dataset)
+        assert err.value.pivot_index == 0
+
 
 class TestMultiRestart:
     def test_requires_at_least_two_restarts(self):
@@ -391,6 +399,15 @@ class TestRoundingFloor:
         z, residual, _ = solver._evaluate(features, targets, CS11, np.array([0.3, -0.1]))
         grad = solver._gradient(features, CS11, z, residual)
         assert solver._newton_decrement(features, targets, CS11, z, grad) == np.inf
+
+    def test_non_finite_hessian_has_no_decrement(self):
+        # x^2 = 1e400 overflows, so the Hessian is inf while z, the loss and the gradient are finite.
+        features, targets = np.array([[1e200]]), np.array([0.5])
+        transform = TanhTransform(1.0)
+        z, residual, _ = solver._evaluate(features, targets, transform, np.array([1e-200]))
+        grad = solver._gradient(features, transform, z, residual)
+        assert np.isfinite(grad).all()
+        assert solver._newton_decrement(features, targets, transform, z, grad) == np.inf
 
     def test_convex_sqrt_curvature_matches_finite_differences(self):
         transform = ConvexSqrtTransform(2.0, 1.5)
