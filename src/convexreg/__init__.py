@@ -12,7 +12,6 @@ from .transforms import (
     ConvexSqrtTransform,
     TanhTransform,
     Transform,
-    UnsupportedTransformError,
     transform_from_dict,
     transform_to_dict,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "TanhTransform",
     "TargetBoundWarning",
     "Transform",
-    "UnsupportedTransformError",
     "convexity_target_bound",
     "derivative_monotonicity_check",
     "dloss_dz",

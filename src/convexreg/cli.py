@@ -7,7 +7,7 @@ are the only success/failure channel:
     0  success
     2  bad flags
     3  data errors (unreadable/malformed files, dimension mismatches,
-       losses too large for float64)
+       losses or loss curvature too large for float64)
     4  fit did not converge (report still emitted)
     5  a convexity check failed (witnesses in the report)
 """

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _evaluate, _gradient
-from .transforms import Transform, UnsupportedTransformError
+from .transforms import Transform
 
 _MAX_HESSIAN_DIM = 50
 
@@ -310,21 +310,36 @@ def fd_hessian_psd_check(
 
 
 def find_nonconvex_witness(transform: Transform, z_grid, y_grid):
-    """Grid-search the pointwise curvature for a negative value.
+    """Grid-search the pointwise loss curvature for a negative value.
 
     Returns the (z, y, value) minimizing :func:`psd_condition_value` when
-    that minimum is negative, else None.  Requires a transform with a
-    second derivative.
+    that minimum is negative, else None.  Covers every transform.  For
+    convex-sqrt the curvature is in closed form and its sign is exact: no
+    value is negative while every |y| <= Y, and y = -Y (z > 0) or y = Y
+    (z < 0) gives exactly 0.0.  Raises InvalidGridError for a grid entry
+    that is not finite, and NonFiniteCheckError naming the first (z, y)
+    whose curvature is not finite.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     if z_grid.ndim != 1 or z_grid.size == 0 or y_grid.ndim != 1 or y_grid.size == 0:
         raise InvalidGridError("z_grid and y_grid must be nonempty 1-D sequences")
+    if not (np.all(np.isfinite(z_grid)) and np.all(np.isfinite(y_grid))):
+        raise InvalidGridError("grid entries must be finite")
     if np.any(np.diff(z_grid) < 0.0) or np.any(np.diff(y_grid) < 0.0):
         raise InvalidGridError("grids must be sorted ascending")
 
     z_mesh, y_mesh = np.meshgrid(z_grid, y_grid, indexing="ij")
-    values = psd_condition_value(transform, z_mesh, y_mesh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = psd_condition_value(transform, z_mesh, y_mesh)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise NonFiniteCheckError(
+            f"the loss curvature is not finite at {len(bad)} of {values.size} grid points "
+            f"(first: {float(values[i, j])!r} at "
+            f"(z, y) = ({float(z_grid[i])!r}, {float(y_grid[j])!r}))"
+        )
     flat_idx = int(np.argmin(values))
     i, j = np.unravel_index(flat_idx, values.shape)
     minimum = float(values[i, j])
@@ -343,9 +358,10 @@ def verification_battery(
 
     Midpoint and derivative-monotonicity checks at five target values
     spanning [-y_bound, y_bound], a finite-difference Hessian check on a
-    small synthetic dataset at three random weight vectors, and (when the
-    transform has a second derivative) a grid search for a pointwise
-    curvature counterexample.  Deterministic for a given seed.
+    small synthetic dataset at three random weight vectors, and a grid
+    search for a pointwise curvature counterexample (exact for
+    convex-sqrt).  Deterministic for a given seed.  Raises
+    NonFiniteCheckError when any check meets a value that is not finite.
     """
     if not y_bound > 0.0:
         raise ValueError("y_bound must be positive")
@@ -383,18 +399,14 @@ def verification_battery(
 
     z_grid = np.linspace(-3.0, 3.0, 61)
     y_grid = np.linspace(-y_bound, y_bound, 21)
-    try:
-        witness = find_nonconvex_witness(transform, z_grid, y_grid)
-    except UnsupportedTransformError:
-        pass  # no second derivative: the search does not apply
-    else:
-        reports.append(
-            ConvexityReport(
-                check_name="nonconvex_witness_search",
-                passed=witness is None,
-                worst_violation=0.0 if witness is None else witness[2],
-                witness=None if witness is None else (witness[0], witness[1]),
-                samples_tested=z_grid.size * y_grid.size,
-            )
+    witness = find_nonconvex_witness(transform, z_grid, y_grid)
+    reports.append(
+        ConvexityReport(
+            check_name="nonconvex_witness_search",
+            passed=witness is None,
+            worst_violation=0.0 if witness is None else witness[2],
+            witness=None if witness is None else (witness[0], witness[1]),
+            samples_tested=z_grid.size * y_grid.size,
         )
+    )
     return reports

@@ -203,31 +203,24 @@ def total_gradient(model: Model, dataset: Dataset) -> np.ndarray:
 
 
 def psd_condition_value(transform: Transform, z, y):
-    """Pointwise curvature of the composed loss: ``2*g'(z)^2 + 2*(g(z)-y)*g''(z)``.
-
-    The sign decides whether the loss Hessian contribution ``value * x x^T``
-    is positive semidefinite at this (z, y).  Only defined for transforms
-    with a second derivative; raises UnsupportedTransformError otherwise.
-    """
-    gpp = transform.second_derivative(z)
-    gp = transform.derivative(z)
-    return 2.0 * gp * gp + 2.0 * _residual(transform, z, y) * gpp
-
-
-def _curvature(transform: Transform, z, y):
     """Second derivative of the loss in z, ``2*g'(z)^2 + 2*(g(z)-y)*g''(z)``, for every transform.
 
-    Convex-sqrt has no second derivative at z = 0, so its curvature is the
-    closed form ``Y*alpha^2*(Y + sign(z)*y) / (2*u^1.5)`` with
-    ``u = alpha*|z| + 1``; at z = 0 that is the mean of the two one-sided
-    values.  Overflow is quiet: a huge |z| gives curvature 0.
+    The sign decides whether the loss Hessian contribution ``value * x x^T``
+    is positive semidefinite at this (z, y).  Convex-sqrt has no second
+    derivative at z = 0, so its curvature is the closed form
+    ``Y*alpha^2*(Y + sign(z)*y) / (2*u^1.5)`` with ``u = alpha*|z| + 1``,
+    which is >= 0 exactly when |y| <= Y; at z = 0 it is the mean of the
+    two one-sided values.  Overflow is quiet: a huge |z| gives curvature 0,
+    and an alpha whose square overflows gives values that are not finite.
     """
     if isinstance(transform, ConvexSqrtTransform):
         with np.errstate(over="ignore"):
             u = transform.alpha * np.abs(z) + 1.0
             scale = transform.y_bound * (transform.alpha * transform.alpha) / (2.0 * u * np.sqrt(u))
         return scale * (transform.y_bound + np.sign(z) * y)
-    return psd_condition_value(transform, z, y)
+    gpp = transform.second_derivative(z)
+    gp = transform.derivative(z)
+    return 2.0 * gp * gp + 2.0 * _residual(transform, z, y) * gpp
 
 
 def _hessian(features, targets, transform, z) -> np.ndarray:
@@ -238,7 +231,7 @@ def _hessian(features, targets, transform, z) -> np.ndarray:
     contiguous dot product.  It calls no BLAS, as in :func:`_gradient`, so
     the bits do not depend on the BLAS thread count.
     """
-    curvature = _curvature(transform, z, targets)
+    curvature = psd_condition_value(transform, z, targets)
     n_samples, n_features = features.shape
     rows = max(1, _HESSIAN_BLOCK_ELEMENTS // n_features)
     hessian = np.zeros((n_features, n_features))

@@ -8,6 +8,9 @@ convex in the model weights as long as every target lies inside
 contrast that breaks convexity.
 
 All evaluation methods are elementwise and accept floats or numpy arrays.
+Affine and tanh expose ``second_derivative``; convex-sqrt has none at
+z = 0, so :func:`convexreg.loss.psd_condition_value` holds its loss
+curvature in closed form.
 """
 
 from __future__ import annotations
@@ -16,10 +19,6 @@ from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
-
-
-class UnsupportedTransformError(TypeError):
-    """The operation needs a second derivative the transform does not expose."""
 
 
 def _finite_positive(value: float, name: str) -> float:
@@ -74,12 +73,6 @@ class ConvexSqrtTransform:
         root = self._root(z)
         root *= 2.0
         return np.divide(self.y_bound * self.alpha, root, out=root)[()]
-
-    def second_derivative(self, z):
-        raise UnsupportedTransformError(
-            "convex-sqrt has no continuous second derivative at z=0; "
-            "use derivative monotonicity to assess curvature"
-        )
 
 
 @dataclass(frozen=True)

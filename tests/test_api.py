@@ -27,7 +27,6 @@ PUBLIC_API = [
     "TanhTransform",
     "TargetBoundWarning",
     "Transform",
-    "UnsupportedTransformError",
     "convexity_target_bound",
     "derivative_monotonicity_check",
     "dloss_dz",

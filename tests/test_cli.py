@@ -366,6 +366,8 @@ class TestBadInput:
             ({"f.csv": "x\n1\n", "m.json": '{"weights": [1.0], "transform": "tanh"}'},
              ["predict", "--model", "m.json", "--data", "f.csv"], "cannot load model"),
             ({}, ["verify", "--alpha", "1e308"], "the loss is not finite"),
+            # Convex there, but the curvature overflows: no verdict rather than a refutation.
+            ({}, ["verify", "--alpha", "1e200"], "the loss curvature is not finite at 1281 of 1281 grid points"),
             ({}, ["synth", "--n", "5", "--d", "2", "--noise", "1e308", "--out", "s.csv"], "must be finite"),
             ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--alpha", "1e308"],
              "gradient norm at the starting point is inf"),
@@ -379,7 +381,7 @@ class TestBadInput:
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
              "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
              "model-transform-null", "model-transform-string",
-             "verify-alpha-huge", "synth-noise-huge", "fit-alpha-huge", "oversized-field",
+             "verify-alpha-huge", "verify-alpha-curvature-overflow", "synth-noise-huge", "fit-alpha-huge", "oversized-field",
              "long-field-then-bad-cell", "bad-cell-names-file"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):
@@ -402,8 +404,9 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "argv",
-        [["verify", "--alpha", "1e308"], ["verify", "--y-bound", "1e307"], ["fit", "--data", "d.csv", "--alpha", "1e308"]],
-        ids=["verify-alpha-huge", "verify-y-bound-huge", "fit-alpha-huge"],
+        [["verify", "--alpha", "1e308"], ["verify", "--alpha", "1e200"], ["verify", "--y-bound", "1e307"],
+         ["fit", "--data", "d.csv", "--alpha", "1e308"]],
+        ids=["verify-alpha-huge", "verify-alpha-curvature-overflow", "verify-y-bound-huge", "fit-alpha-huge"],
     )
     def test_huge_flag_prints_only_the_error(self, tmp_path, argv):
         (tmp_path / "d.csv").write_text(DATA)

@@ -22,7 +22,6 @@ from convexreg import (
     NonFiniteHessianError,
     SynthSpec,
     TanhTransform,
-    UnsupportedTransformError,
     derivative_monotonicity_check,
     dloss_dz,
     fd_hessian_psd_check,
@@ -441,13 +440,63 @@ class TestWitnessSearch:
     def test_affine_has_no_witness(self):
         assert find_nonconvex_witness(AFF, np.linspace(-3, 3, 61), np.linspace(-1, 1, 21)) is None
 
-    def test_convex_sqrt_unsupported(self):
-        with pytest.raises(UnsupportedTransformError):
-            find_nonconvex_witness(CS11, np.linspace(-3, 3, 61), np.linspace(-1, 1, 21))
+    # derivative_monotonicity refutes several of these in-bound settings
+    # (alpha = 1e12, Y = 1e6): its absolute tolerance reads rounding of
+    # order eps * Y^2 * alpha as a violation.  The closed form has no such
+    # rounding in its sign.
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12])
+    @pytest.mark.parametrize("y_bound", [1e-3, 1.0, 1e6])
+    def test_convex_sqrt_in_bound_has_no_witness(self, alpha, y_bound):
+        transform = ConvexSqrtTransform(alpha, y_bound)
+        z_grid = np.linspace(-3.0, 3.0, 61)
+        y_grid = np.linspace(-y_bound, y_bound, 21)
+        assert find_nonconvex_witness(transform, z_grid, y_grid) is None
+        z, y = np.meshgrid(z_grid, y_grid, indexing="ij")
+        values = psd_condition_value(transform, z, y)
+        # The minimum is exactly 0.0, where the target sits at the bound on the far side of the kink.
+        assert values.min() == 0.0
+        np.testing.assert_array_equal(values == 0.0, ((z > 0) & (y == -y_bound)) | ((z < 0) & (y == y_bound)))
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e12])
+    @pytest.mark.parametrize("y_bound", [1e-3, 1.0, 1e6])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_convex_sqrt_out_of_bound_witness_opposite_the_target(self, alpha, y_bound, sign):
+        transform = ConvexSqrtTransform(alpha, y_bound)
+        z_grid = np.linspace(-3.0, 3.0, 61)
+        witness = find_nonconvex_witness(transform, z_grid, [sign * 1.5 * y_bound])
+        assert witness is not None
+        z, y, value = witness
+        # Curvature Y*alpha^2*(Y - 1.5*Y)/(2*u^1.5) is most negative at the grid point nearest the kink.
+        assert y == sign * 1.5 * y_bound
+        assert z == z_grid[30 - int(sign)]
+        assert value < 0.0
+        if 1.0 <= alpha <= 1e6:
+            # Independent confirmation by second-order finite differences; the
+            # step stays on the witness's side of the kink.  At other alphas the
+            # difference is swamped by rounding (small alpha) or truncation (large).
+            h = 1e-3 * abs(z)
+            fd = (loss_z(transform, z + h, y) - 2 * loss_z(transform, z, y) + loss_z(transform, z - h, y)) / (h * h)
+            np.testing.assert_allclose(fd, value, rtol=1e-5)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidGridError):
             find_nonconvex_witness(TANH1, [], [0.0])
+
+    @pytest.mark.parametrize("z_grid, y_grid", [([np.nan, 0.0, 1.0], [0.0]), ([0.0], [0.0, np.inf])])
+    def test_non_finite_grid_rejected(self, z_grid, y_grid):
+        with pytest.raises(InvalidGridError, match="grid entries must be finite"):
+            find_nonconvex_witness(TANH1, z_grid, y_grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_convex_sqrt_curvature_overflow_raises(self):
+        # alpha^2 overflows, so all 1,281 values are inf or nan.
+        with pytest.raises(NonFiniteCheckError, match=r"at 1281 of 1281 grid points \(first: inf at \(z, y\) = \(-3.0, -1.0\)\)"):
+            find_nonconvex_witness(ConvexSqrtTransform(1e160, 1.0), np.linspace(-3, 3, 61), np.linspace(-1, 1, 21))
+
+    @pytest.mark.filterwarnings("error")
+    def test_tanh_curvature_overflow_raises(self):
+        with pytest.raises(NonFiniteCheckError, match=r"the loss curvature is not finite .* at \(z, y\) = \(-3.0, -1.0\)"):
+            find_nonconvex_witness(TanhTransform(1e200), np.linspace(-3, 3, 61), np.linspace(-1, 1, 21))
 
 
 class TestCrossValidationOfChecks:
@@ -521,8 +570,9 @@ class TestVerificationBattery:
     def test_convex_sqrt_all_pass(self):
         checks = verification_battery(ConvexSqrtTransform(1.0, 1.0), 1.0, 4000, seed=0)
         assert all(c.passed for c in checks)
-        names = [c.check_name for c in checks]
-        assert not any("witness" in name for name in names)
+        witness = [c for c in checks if c.check_name == "nonconvex_witness_search"]
+        assert len(witness) == 1
+        assert witness[0].worst_violation == 0.0 and witness[0].witness is None
 
     def test_affine_all_pass_including_witness_search(self):
         checks = verification_battery(AFF, 1.0, 4000, seed=0)

@@ -15,7 +15,6 @@ from convexreg import (
     Model,
     TanhTransform,
     TargetBoundWarning,
-    UnsupportedTransformError,
     convexity_target_bound,
     dloss_dz,
     estimate_target_bound,
@@ -367,9 +366,33 @@ class TestPsdConditionValue:
     def test_tanh_symmetric_point(self):
         assert psd_condition_value(TanhTransform(1.0), 0.0, 0.0) == 2.0
 
-    def test_convex_sqrt_unsupported(self):
-        with pytest.raises(UnsupportedTransformError):
-            psd_condition_value(CS11, 1.0, 0.0)
+    def test_convex_sqrt_closed_form(self):
+        t = ConvexSqrtTransform(2.0, 1.5)
+        z = np.array([-3.0, -0.4, 0.0, 0.25, 2.0])
+        y = np.array([1.5, -0.7, 0.9, 0.3, -1.5])
+        value = psd_condition_value(t, z, y)
+        # Y*alpha^2*(Y + sign(z)*y) / (2*u^1.5), u = alpha*|z| + 1, written out by hand.
+        u = np.array([7.0, 1.8, 1.0, 1.5, 5.0])
+        expected = 1.5 * 4.0 * (1.5 + np.array([-1.5, 0.7, 0.0, 0.3, -1.5])) / (2.0 * u**1.5)
+        np.testing.assert_allclose(value, expected, rtol=1e-14)
+        # At the kink sign(0) = 0 gives Y*alpha^2*Y/2, the mean of the one-sided values Y*alpha^2*(Y -+ y)/2.
+        assert value[2] == 1.5 * 4.0 * 1.5 / 2.0
+        # Independent oracle away from the kink: second-order central difference of loss_z.
+        h = 1e-4
+        away = z != 0.0
+        fd = (loss_z(t, z + h, y) - 2.0 * loss_z(t, z, y) + loss_z(t, z - h, y)) / (h * h)
+        np.testing.assert_allclose(value[away], fd[away], rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_convex_sqrt_closed_form_is_symbolic_second_derivative(self, side):
+        sp = pytest.importorskip("sympy")
+        z = sp.Symbol("z", positive=side > 0, negative=side < 0)
+        alpha, y_bound = sp.symbols("alpha Y", positive=True)
+        y = sp.Symbol("y", real=True)
+        g = sp.sign(z) * (y_bound * sp.sqrt(alpha * sp.Abs(z) + 1) - y_bound)
+        u = alpha * sp.Abs(z) + 1
+        closed_form = y_bound * alpha**2 * (y_bound + sp.sign(z) * y) / (2 * u * sp.sqrt(u))
+        assert sp.simplify(sp.diff((g - y) ** 2, z, 2) - closed_form) == 0
 
 
 class TestTargetBoundFlagging:

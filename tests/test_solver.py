@@ -25,11 +25,11 @@ from convexreg import (
     loss_z,
     multi_restart_fit,
     ols_fit,
+    psd_condition_value,
     total_gradient,
     total_loss,
 )
 from convexreg import solver
-from convexreg.loss import _curvature as loss_curvature
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 
@@ -415,4 +415,4 @@ class TestRoundingFloor:
         y = np.array([1.5, -0.7, 0.3, -1.5])
         h = 1e-4
         fd = (loss_z(transform, z + h, y) - 2.0 * loss_z(transform, z, y) + loss_z(transform, z - h, y)) / (h * h)
-        np.testing.assert_allclose(loss_curvature(transform, z, y), fd, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(psd_condition_value(transform, z, y), fd, rtol=1e-6, atol=1e-6)

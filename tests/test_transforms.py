@@ -8,7 +8,6 @@ from convexreg import (
     AffineTransform,
     ConvexSqrtTransform,
     TanhTransform,
-    UnsupportedTransformError,
     transform_from_dict,
     transform_to_dict,
 )
@@ -145,10 +144,6 @@ class TestDerivative:
 
 
 class TestSecondDerivative:
-    def test_convex_sqrt_has_none(self):
-        with pytest.raises(UnsupportedTransformError):
-            ConvexSqrtTransform(1.0, 1.0).second_derivative(0.5)
-
     def test_affine_is_zero(self):
         assert AffineTransform(2.0, 1.0).second_derivative(3.7) == 0.0
 
