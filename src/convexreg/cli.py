@@ -71,18 +71,21 @@ def _fail_data(message: str) -> int:
     return EXIT_DATA_ERROR
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+def _emit_report(args, results: dict, started: float, **resolved) -> None:
+    """Print the run report of ``args.command`` on stdout.
 
-
-def _report(command: str, config_echo: dict, results: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "config_echo": config_echo,
+    Its ``config_echo`` is every parsed flag under its argparse dest name,
+    then ``resolved``: the values the command worked out from its data.
+    """
+    echo = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    report = {
+        "command": args.command,
+        "config_echo": {**echo, **resolved},
         "results": results,
         "wall_time_ms": int((time.perf_counter() - started) * 1000),
         "version": __version__,
     }
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _flag_type(convert, accept, rule: str):
@@ -140,25 +143,14 @@ def _build_transform(kind: str, alpha: float, y_bound: float) -> Transform:
     raise ValueError(f"unknown transform {kind!r}")
 
 
-def _load_dataset(args) -> tuple:
-    spec = DatasetSpec(
+def _load_dataset(args):
+    return load_csv(DatasetSpec(
         path=args.data,
         target_column=args.target_column,
-        has_header=not args.no_header,
-        add_bias=not args.no_bias,
+        has_header=args.has_header,
+        add_bias=args.add_bias,
         standardize=args.standardize,
-    )
-    return load_csv(spec), spec
-
-
-def _dataset_echo(spec: DatasetSpec) -> dict:
-    return {
-        "data": str(spec.path),
-        "target_column": spec.target_column,
-        "has_header": spec.has_header,
-        "add_bias": spec.add_bias,
-        "standardize": spec.standardize,
-    }
+    ))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -182,15 +174,17 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
         "--target-column", type=_column, default=None,
         help="target column name or 0-based index (default: last)",
     )
-    parser.add_argument("--no-header", action="store_true", help="the CSV has no header row")
-    parser.add_argument("--no-bias", action="store_true", help="do not append a constant 1.0 feature")
+    parser.add_argument("--no-header", dest="has_header", action="store_false", help="the CSV has no header row")
+    parser.add_argument(
+        "--no-bias", dest="add_bias", action="store_false", help="do not append a constant 1.0 feature"
+    )
     parser.add_argument("--standardize", action="store_true", help="standardize feature columns (bias exempt)")
 
 
 def _cmd_fit(args) -> int:
     started = time.perf_counter()
     try:
-        dataset, spec = _load_dataset(args)
+        dataset = _load_dataset(args)
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
@@ -223,17 +217,6 @@ def _cmd_fit(args) -> int:
         except OSError as exc:
             return _fail_data(str(exc))
 
-    config_echo = {
-        **_dataset_echo(spec),
-        "transform": args.transform,
-        "alpha": args.alpha,
-        "y_bound": float(y_bound),
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_iters": args.max_iters,
-        "grad_tol": args.grad_tol,
-        "out": args.out,
-    }
     results = {
         "fit": best.to_dict(),
         "best_restart": best_index,
@@ -242,7 +225,7 @@ def _cmd_fit(args) -> int:
         "model_file": args.out,
         "transform": transform_to_dict(transform),
     }
-    _emit(_report("fit", config_echo, results, started))
+    _emit_report(args, results, started, y_bound=float(y_bound))
     return EXIT_OK if best.termination in _OPTIMAL else EXIT_NOT_CONVERGED
 
 
@@ -252,7 +235,7 @@ def _cmd_predict(args) -> int:
     except (*_DATA_ERRORS, KeyError, TypeError) as exc:  # KeyError, TypeError: JSON of the wrong shape
         return _fail_data(f"cannot load model {args.model}: {exc}")
     try:
-        features = load_feature_csv(args.data, has_header=not args.no_header)
+        features = load_feature_csv(args.data, has_header=args.has_header)
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
@@ -278,18 +261,11 @@ def _cmd_verify(args) -> int:
         return _fail_data(str(exc))
     all_passed = all(check.passed for check in checks)
 
-    config_echo = {
-        "transform": args.transform,
-        "alpha": args.alpha,
-        "y_bound": args.y_bound,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     results = {
         "checks": [check.to_dict() for check in checks],
         "all_passed": all_passed,
     }
-    _emit(_report("verify", config_echo, results, started))
+    _emit_report(args, results, started)
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
@@ -308,7 +284,7 @@ def _restart_summary(reports) -> dict:
 def _cmd_compare(args) -> int:
     started = time.perf_counter()
     try:
-        dataset, spec = _load_dataset(args)
+        dataset = _load_dataset(args)
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
@@ -325,16 +301,7 @@ def _cmd_compare(args) -> int:
         summary["within_tolerance"] = summary["relative_spread"] <= 1e-6
         results[kind] = summary
 
-    config_echo = {
-        **_dataset_echo(spec),
-        "alpha": args.alpha,
-        "y_bound": float(y_bound),
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "max_iters": args.max_iters,
-        "grad_tol": args.grad_tol,
-    }
-    _emit(_report("compare", config_echo, results, started))
+    _emit_report(args, results, started, y_bound=float(y_bound))
     if results["convex-sqrt"]["n_converged"] == 0:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -366,22 +333,12 @@ def _cmd_synth(args) -> int:
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
-    config_echo = {
-        "n": args.n,
-        "d": args.d,
-        "noise": args.noise,
-        "transform": args.transform,
-        "alpha": args.alpha,
-        "y_bound": args.y_bound,
-        "seed": args.seed,
-        "out": str(args.out),
-    }
     results = {
-        "csv_file": str(args.out),
+        "csv_file": args.out,
         "weights_file": weights_file,
         "warnings": _bound_warnings(transform, dataset.targets),
     }
-    _emit(_report("synth", config_echo, results, started))
+    _emit_report(args, results, started)
     return EXIT_OK
 
 
@@ -409,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict", help="apply a fitted model to feature rows")
     predict.add_argument("--model", required=True, help="model JSON written by fit --out")
     predict.add_argument("--data", required=True, help="feature-only CSV (no target column)")
-    predict.add_argument("--no-header", action="store_true", help="the CSV has no header row")
+    predict.add_argument("--no-header", dest="has_header", action="store_false", help="the CSV has no header row")
     predict.set_defaults(func=_cmd_predict)
 
     verify = sub.add_parser("verify", help="run the convexity check battery")

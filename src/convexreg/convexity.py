@@ -99,10 +99,10 @@ def graded_grid(half_width: float, n_points: int) -> np.ndarray:
 
     Log-spaced magnitudes (8 decades) plus the origin, mirrored to negative
     values, so behavior around the kink at z = 0 is probed closely.
-    ``n_points`` must be odd and >= 3.
+    ``half_width`` must be finite and positive, ``n_points`` odd and >= 3.
     """
-    if not half_width > 0.0:
-        raise ValueError("half_width must be positive")
+    if not 0.0 < half_width < np.inf:
+        raise ValueError("half_width must be finite and positive")
     if n_points < 3 or n_points % 2 == 0:
         raise ValueError("n_points must be an odd integer >= 3")
     half = (n_points - 1) // 2
@@ -130,8 +130,9 @@ def midpoint_convexity_check(
     first triple with a loss that is not finite.
     """
     lo, hi = float(z_range[0]), float(z_range[1])
-    if not lo < hi:
-        raise ValueError("z_range must be a nondegenerate (low, high) pair")
+    # The width bounds the draws: uniform(lo, hi) needs hi - lo finite.
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise ValueError("z_range must be a nondegenerate (low, high) pair with finite ends and width")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if not tol > 0.0:
@@ -196,11 +197,14 @@ def derivative_monotonicity_check(
     A nondecreasing derivative of a continuously differentiable function
     is equivalent to convexity, so the most negative successive difference
     of ``dloss_dz`` over the grid is the reported slack.  Raises
+    InvalidGridError for a grid entry that is not finite, and
     NonFiniteCheckError when a derivative or a difference is not finite.
     """
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise InvalidGridError("z_grid must contain at least two points")
+    if not np.all(np.isfinite(grid)):
+        raise InvalidGridError("grid entries must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise InvalidGridError("z_grid must be sorted strictly ascending")
     if not tol > 0.0:

@@ -7,7 +7,6 @@ import csv
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,7 +87,9 @@ def _read_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, 
     routine ``float()`` uses, so the values match ``float()`` bit for bit.
     A file it rejects, or whose matrix is empty, non-finite or not as wide
     as the header, goes to :func:`_scan_matrix`, which reads what
-    ``float()`` reads and names the first bad cell or row.
+    ``float()`` reads and names the first bad cell or row.  So does a
+    file with no non-blank row below the header, which loadtxt would
+    read with a warning.
     """
     header: list[str] | None = None
     try:
@@ -99,17 +100,18 @@ def _read_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, 
                     if any(cell.strip() for cell in row):
                         header = [cell.strip() for cell in row]
                         break
-        with warnings.catch_warnings():
-            # A file with no rows below the header is reported by the scan.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            skiprows = reader.line_num
+            has_rows = any(any(cell.strip() for cell in row) for row in reader)
+        if has_rows:
             matrix = np.loadtxt(
-                path, delimiter=",", comments=None, skiprows=reader.line_num, ndmin=2, encoding="utf-8"
+                path, delimiter=",", comments=None, skiprows=skiprows, ndmin=2, encoding="utf-8"
             )
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         pass
     else:
         if (
-            matrix.size
+            has_rows
+            and matrix.size
             and (header is None or len(header) == matrix.shape[1])
             and np.isfinite(matrix).all()
         ):

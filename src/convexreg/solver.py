@@ -8,7 +8,6 @@ restart reaches the same optimal loss value.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from .loss import (
     Dataset,
     DimensionMismatchError,
-    TargetBoundWarning,
     _evaluate,
     _frozen,
     _gradient,
@@ -141,7 +139,11 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     if not np.all(np.isfinite(w)):
         raise ValueError("w0 must be finite")
     _warn_if_outside_bound(transform, dataset.targets)
+    return _descend(dataset, transform, w, config)
 
+
+def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: SolverConfig) -> FitReport:
+    """:func:`gd_fit`'s descent from a checked, finite ``w``; it issues no warning."""
     features, targets = dataset.features, dataset.targets
     z, residual, loss = _evaluate(features, targets, transform, w)
     if not np.isfinite(loss):
@@ -284,13 +286,11 @@ def multi_restart_fit(
     if restarts < 2:
         raise ValueError("restarts must be at least 2")
     radius = 10.0 / (1.0 + float(np.linalg.norm(dataset.features, axis=0).max()))
+    # Warned once here; each restart descends without repeating it.
     _warn_if_outside_bound(transform, dataset.targets)
     reports = []
-    with warnings.catch_warnings():
-        # Warned once above, under the caller's filters; gd_fit would repeat it per restart.
-        warnings.simplefilter("ignore", TargetBoundWarning)
-        for index in range(restarts):
-            rng = np.random.default_rng(config.seed + index)
-            w0 = rng.uniform(-radius, radius, dataset.n_features)
-            reports.append(gd_fit(dataset, transform, w0, config))
+    for index in range(restarts):
+        rng = np.random.default_rng(config.seed + index)
+        w0 = rng.uniform(-radius, radius, dataset.n_features)
+        reports.append(_descend(dataset, transform, w0, config))
     return reports

@@ -310,6 +310,75 @@ class TestCompare:
         assert "--restarts" in err
 
 
+class TestConfigEcho:
+    """``config_echo`` is every flag under its dest name, plus the y_bound resolved from the data."""
+
+    @staticmethod
+    def assert_echo(stdout, expected):
+        echo = report_of(stdout)["config_echo"]
+        assert echo == expected
+        assert {key: type(value) for key, value in echo.items()} == {
+            key: type(value) for key, value in expected.items()
+        }
+
+    def test_fit_headerless_with_auto_bound(self, synth_dir, capsys):
+        rows = (synth_dir / "data.csv").read_text().splitlines()[1:]
+        (synth_dir / "bare.csv").write_text("\n".join(rows) + "\n")
+        y_bound = max(abs(float(row.split(",")[0])) for row in rows)
+        code, out, err = run_main(
+            capsys, "fit", "--data", synth_dir / "bare.csv", "--no-header", "--no-bias", "--standardize",
+            "--target-column", "0", "--y-bound", "auto",
+        )
+        assert code in (0, 4), err
+        self.assert_echo(out, {
+            "data": str(synth_dir / "bare.csv"), "target_column": 0, "has_header": False, "add_bias": False,
+            "standardize": True, "transform": "convex-sqrt", "alpha": 1.0, "y_bound": y_bound, "restarts": 1,
+            "seed": 0, "max_iters": 10000, "grad_tol": 1e-8, "out": None,
+        })
+
+    def test_fit_every_flag_set(self, synth_dir, capsys):
+        code, out, err = run_main(
+            capsys, "fit", "--data", synth_dir / "data.csv", "--target-column", "target", "--transform", "tanh",
+            "--alpha", "2", "--y-bound", "0.5", "--restarts", "2", "--seed", "4", "--max-iters", "30",
+            "--grad-tol", "1e-6", "--out", synth_dir / "m.json",
+        )
+        assert code in (0, 4), err
+        self.assert_echo(out, {
+            "data": str(synth_dir / "data.csv"), "target_column": "target", "has_header": True, "add_bias": True,
+            "standardize": False, "transform": "tanh", "alpha": 2.0, "y_bound": 0.5, "restarts": 2, "seed": 4,
+            "max_iters": 30, "grad_tol": 1e-6, "out": str(synth_dir / "m.json"),
+        })
+
+    def test_verify(self, capsys):
+        code, out, err = run_main(
+            capsys, "verify", "--transform", "affine", "--alpha", "2", "--y-bound", "0.5", "--samples", "100",
+            "--seed", "3",
+        )
+        assert code == 0, err
+        self.assert_echo(out, {"transform": "affine", "alpha": 2.0, "y_bound": 0.5, "samples": 100, "seed": 3})
+
+    def test_compare(self, synth_dir, capsys):
+        rows = (synth_dir / "data.csv").read_text().splitlines()[1:]
+        y_bound = max(abs(float(row.split(",")[-1])) for row in rows)
+        code, out, err = run_main(
+            capsys, "compare", "--data", synth_dir / "data.csv", "--restarts", "10", "--max-iters", "20",
+        )
+        assert code in (0, 4), err
+        self.assert_echo(out, {
+            "data": str(synth_dir / "data.csv"), "target_column": None, "has_header": True, "add_bias": True,
+            "standardize": False, "alpha": 1.0, "y_bound": y_bound, "restarts": 10, "seed": 0, "max_iters": 20,
+            "grad_tol": 1e-8,
+        })
+
+    def test_synth(self, tmp_path, capsys):
+        code, out, err = run_main(capsys, "synth", "--n", "5", "--d", "2", "--out", tmp_path / "s.csv")
+        assert code == 0, err
+        self.assert_echo(out, {
+            "n": 5, "d": 2, "noise": 0.0, "transform": "convex-sqrt", "alpha": 1.0, "y_bound": 1.0, "seed": 0,
+            "out": str(tmp_path / "s.csv"),
+        })
+
+
 DATA = "x,t\n0.1,0.2\n0.3,0.4\n-0.5,-0.6\n"
 
 

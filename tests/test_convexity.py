@@ -69,6 +69,12 @@ class TestGradedGrid:
         with pytest.raises(ValueError):
             graded_grid(50.0, 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("half_width", [np.inf, np.nan])
+    def test_non_finite_half_width_rejected(self, half_width):
+        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+            graded_grid(half_width, 5)
+
 
 class TestMidpointCheck:
     def test_convex_sqrt_passes(self):
@@ -98,6 +104,14 @@ class TestMidpointCheck:
             midpoint_convexity_check(CS11, 0.0, (0.0, 1.0), 0)
         with pytest.raises(ValueError):
             midpoint_convexity_check(CS11, 0.0, (0.0, 1.0), 10, tol=0.0)
+
+    @pytest.mark.parametrize(
+        "z_range", [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)], ids=["low-inf", "high-inf", "inf-width"]
+    )
+    def test_infinite_range_rejected_before_drawing(self, z_range):
+        # uniform() would raise OverflowError on each: its width hi - lo is inf.
+        with pytest.raises(ValueError, match="finite ends and width"):
+            midpoint_convexity_check(CS11, 0.0, z_range, 10)
 
     def test_seed_reproducibility(self):
         a = midpoint_convexity_check(CS11, 0.5, (-10, 10), 1000, seed=9)
@@ -269,6 +283,12 @@ class TestMonotonicityCheck:
             derivative_monotonicity_check(CS11, 0.0, [1.0])
         with pytest.raises(InvalidGridError):
             derivative_monotonicity_check(CS11, 0.0, [1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]], ids=["nan", "inf"])
+    def test_non_finite_grid_rejected(self, grid):
+        # The grid is at fault, not the loss derivative: the same error as find_nonconvex_witness.
+        with pytest.raises(InvalidGridError, match="grid entries must be finite"):
+            derivative_monotonicity_check(CS11, 0.5, grid)
 
 
 class TestHessianCheck:

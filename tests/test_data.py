@@ -21,6 +21,7 @@ from convexreg import (
     NonNumericCellError,
     SynthSpec,
     TanhTransform,
+    TargetBoundWarning,
     estimate_target_bound,
     gd_fit,
     generate_synthetic,
@@ -184,6 +185,37 @@ class TestLoadCsv:
         assert len(messages) == 160
         assert set(messages) == {f"{path}: line 3, column 1: cell {'1' * 64!r}... (200000 characters) is not finite"}
         assert csv.field_size_limit() == limit
+
+    def test_concurrent_reads_leave_the_warning_filters_alone(self, tmp_path):
+        path = write(tmp_path, "x,y\n1,2\n3,4\n")
+        errors = []
+
+        def read_thirty_times():
+            try:
+                for _ in range(30):
+                    load_csv(DatasetSpec(path))
+            except Exception as exc:  # surfaced below: a thread cannot fail the test itself
+                errors.append(exc)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            before = list(warnings.filters)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=read_thirty_times) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            assert errors == []
+            assert warnings.filters == before
+            assert caught == []
+            gd_fit(Dataset(np.ones((2, 1)), np.array([2.0, -2.0])), ConvexSqrtTransform(1.0, 1.0), np.zeros(1))
+            assert [w.category for w in caught] == [TargetBoundWarning]
 
     def test_non_numeric_cell_error_names_the_file_only_when_given(self):
         err = NonNumericCellError(3, 2, "abc")

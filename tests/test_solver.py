@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +215,39 @@ class TestMultiRestart:
         with pytest.warns(TargetBoundWarning) as record:
             multi_restart_fit(dataset, ConvexSqrtTransform(1.0, 0.01), 3, SolverConfig(max_iters=5))
         assert [w.category for w in record] == [TargetBoundWarning]
+
+    def test_concurrent_restarts_leave_the_warning_filters_alone(self):
+        rng = np.random.default_rng(313)
+        dataset = Dataset(rng.uniform(-1, 1, (200, 3)), rng.uniform(-2.0, 2.0, 200))
+        errors = []
+
+        def fit_five_times():
+            try:
+                for _ in range(5):
+                    multi_restart_fit(dataset, CS11, 3, SolverConfig(max_iters=50))
+            except Exception as exc:  # surfaced below: a thread cannot fail the test itself
+                errors.append(exc)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            before = list(warnings.filters)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=fit_five_times) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            assert errors == []
+            assert warnings.filters == before
+            assert [w.category for w in caught] == [TargetBoundWarning] * 20  # one per call
+            caught.clear()
+            gd_fit(dataset, CS11, np.zeros(3), SolverConfig(max_iters=1))
+            assert [w.category for w in caught] == [TargetBoundWarning]
 
     def test_convex_restarts_agree(self):
         rng = np.random.default_rng(311)
