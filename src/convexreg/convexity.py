@@ -8,11 +8,13 @@ independently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
+from . import _cores
 from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _evaluate, _gradient
 from .transforms import Transform
 
@@ -126,56 +128,87 @@ def midpoint_convexity_check(
     lam from ``default_rng(seed)``.  Slack is normalized by
     ``1 + max loss in the triple`` so ``tol`` is a dimensionless allowance
     for rounding.  The triples are drawn and judged in chunks, so memory
-    does not grow with ``n_samples``.  Raises NonFiniteCheckError at the
-    first triple with a loss that is not finite.
+    does not grow with ``n_samples``; contiguous ranges of chunks run on
+    the usable cores, and the report is the same at any core count.
+    Raises NonFiniteCheckError at the first triple with a loss that is not
+    finite, and ValueError when ``n_samples`` is not a positive integer.
     """
     lo, hi = float(z_range[0]), float(z_range[1])
     # The width bounds the draws: uniform(lo, hi) needs hi - lo finite.
     if not (lo < hi and np.isfinite(hi - lo)):
         raise ValueError("z_range must be a nondegenerate (low, high) pair with finite ends and width")
+    try:
+        # A Python int: PCG64.advance overflows on numpy integer offsets.
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    # One copy of the stream per variable, each jumped ahead to where the
-    # one-stream draw would start it, so chunks draw the same numbers.
     state = np.random.default_rng(seed).bit_generator.state
-    streams = []
-    for offset in (0, n_samples, 2 * n_samples):
-        bits = np.random.PCG64()
-        bits.state = state
-        streams.append(np.random.Generator(bits.advance(offset)))
-    z1_rng, z2_rng, lam_rng = streams
+    n_chunks = -(-n_samples // _CHUNK)
+    n_ranges = _cores.workers(n_chunks)
+    starts = [n_chunks * k // n_ranges * _CHUNK for k in range(n_ranges)] + [n_samples]
 
-    worst = witness = None
-    for start in range(0, n_samples, _CHUNK):
-        size = min(_CHUNK, n_samples - start)
-        z1 = z1_rng.uniform(lo, hi, size)
-        z2 = z2_rng.uniform(lo, hi, size)
-        lam = lam_rng.uniform(0.0, 1.0, size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            l1 = loss_z(transform, z1, y)
-            l2 = loss_z(transform, z2, y)
-            lmid = loss_z(transform, lam * z1 + (1.0 - lam) * z2, y)
-            scale = 1.0 + np.maximum(np.maximum(l1, l2), lmid)
-            slack = (lam * l1 + (1.0 - lam) * l2 - lmid) / scale
-        # np.maximum propagates nan: the scale is finite iff the three losses are,
-        # and then no slack is nan.
-        finite = np.isfinite(scale)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise NonFiniteCheckError(
-                f"the loss is not finite at sampled triple {start + i} of {n_samples} "
-                f"for y = {float(y)!r}: "
-                f"(z1, z2, lam) = ({float(z1[i])!r}, {float(z2[i])!r}, {float(lam[i])!r}) gives "
-                f"losses ({float(l1[i])!r}, {float(l2[i])!r}, {float(lmid[i])!r})"
-            )
-        # Strictly below: a tie keeps the earlier triple, as one argmin would.
-        idx = int(np.argmin(slack))
-        if witness is None or slack[idx] < worst:
-            worst = float(slack[idx])
-            witness = (float(z1[idx]), float(z2[idx]), float(lam[idx]))
+    def judge_range(k, halted):
+        # One copy of the stream per variable, each jumped ahead to where the
+        # one-stream draw reaches the range's first triple, so any split of the
+        # triples draws the same numbers.
+        streams = []
+        for offset in (0, n_samples, 2 * n_samples):
+            bits = np.random.PCG64()
+            bits.state = state
+            streams.append(np.random.Generator(bits.advance(offset + starts[k])))
+        z1_rng, z2_rng, lam_rng = streams
+        first_worst = None
+        for start in range(starts[k], starts[k + 1], _CHUNK):
+            if halted():
+                return None
+            size = min(_CHUNK, n_samples - start)
+            z1, z2 = z1_rng.uniform(lo, hi, size), z2_rng.uniform(lo, hi, size)
+            lam = lam_rng.uniform(0.0, 1.0, size)
+            # The one-pass formulas lam*z1 + (1-lam)*z2 and
+            # (lam*l1 + (1-lam)*l2 - lmid) / scale, in the same order of
+            # operations.  mid is overwritten by the scale and l1 by the slack;
+            # no second name holds an array into the next chunk, whose arrays
+            # replace these one by one.
+            with np.errstate(over="ignore", invalid="ignore"):
+                l1 = loss_z(transform, z1, y)
+                l2 = loss_z(transform, z2, y)
+                mu = 1.0 - lam
+                mid = lam * z1
+                mid += mu * z2
+                lmid = loss_z(transform, mid, y)
+                np.maximum(l1, l2, out=mid)
+                np.maximum(mid, lmid, out=mid)
+                mid += 1.0
+                # np.maximum propagates nan: the scale is finite iff the three
+                # losses are, and then no slack is nan.
+                finite = np.isfinite(mid)
+                if not finite.all():
+                    i = int(np.argmin(finite))
+                    raise NonFiniteCheckError(
+                        f"the loss is not finite at sampled triple {start + i} of {n_samples} "
+                        f"for y = {float(y)!r}: "
+                        f"(z1, z2, lam) = ({float(z1[i])!r}, {float(z2[i])!r}, {float(lam[i])!r}) gives "
+                        f"losses ({float(l1[i])!r}, {float(l2[i])!r}, {float(lmid[i])!r})"
+                    )
+                l1 *= lam
+                l2 *= mu
+                l1 += l2
+                l1 -= lmid
+                l1 /= mid
+            idx = int(np.argmin(l1))
+            # Strictly below: a tie keeps the earlier triple, as one argmin would.
+            if first_worst is None or l1[idx] < first_worst[0]:
+                first_worst = float(l1[idx]), (float(z1[idx]), float(z2[idx]), float(lam[idx]))
+        return first_worst
+
+    # min keeps the first of equal slacks: across ranges, too, a tie goes to
+    # the earlier triple.
+    worst, witness = min(_cores.run_indexed(judge_range, n_ranges), key=lambda pair: pair[0])
     return ConvexityReport(
         check_name=check_name,
         passed=worst >= -tol,

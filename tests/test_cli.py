@@ -485,6 +485,27 @@ class TestBadInput:
         assert err.startswith("error: ") and err.count("\n") == 1  # no RuntimeWarning
 
 
+class TestCoreCount:
+    """stdout is the same at any number of cores the worker threads use, except the wall time."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--samples", 70000, "--seed", 3],
+            ["verify", "--transform", "tanh", "--samples", 70000],
+            ["verify", "--transform", "affine", "--samples", 40000, "--seed", 7],
+        ],
+        ids=["convex-sqrt", "tanh", "affine"],
+    )
+    def test_verify(self, capsys, pin_cores, argv):
+        runs = []
+        for cores in (1, 2):
+            pin_cores(cores)
+            code, out, err = run_main(capsys, *argv)
+            runs.append((code, strip_timing(out), err))
+        assert runs[0] == runs[1]
+
+
 class TestDeterminism:
     def test_pipeline_reports_identical_modulo_timing(self, tmp_path):
         outputs = []

@@ -38,6 +38,7 @@ from convexreg.convexity import _CHUNK, _fd_hessian
 from convexreg.loss import _evaluate, _hessian
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
+CORES = [1, 2, 3, 64]  # worker counts: serial, fewer ranges than chunks, one chunk per range
 TANH1 = TanhTransform(1.0)
 AFF = AffineTransform(1.0, 0.0)
 
@@ -163,10 +164,12 @@ class SpikedTransform:
 class TestChunkedMidpoint:
     """The check draws and judges its triples in chunks, with the one-pass result."""
 
+    @pytest.mark.parametrize("cores", CORES)
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("n_samples", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**5])
     @pytest.mark.parametrize("transform", [CS11, TANH1, AFF], ids=["convex-sqrt", "tanh", "affine"])
-    def test_same_report_as_one_pass(self, transform, n_samples, seed):
+    def test_same_report_as_one_pass(self, pin_cores, transform, n_samples, seed, cores):
+        pin_cores(cores)
         chunked = midpoint_convexity_check(transform, -0.75, (-100.0, 100.0), n_samples, seed=seed)
         reference = one_shot_midpoint(transform, -0.75, (-100.0, 100.0), n_samples, np.random.default_rng(seed))
         assert repr(chunked.to_dict()) == repr(reference.to_dict())
@@ -176,6 +179,18 @@ class TestChunkedMidpoint:
         chunked = midpoint_convexity_check(TANH1, 0.5, (-100.0, 100.0), 2 * _CHUNK + 3, seed=seed)
         reference = one_shot_midpoint(TANH1, 0.5, (-100.0, 100.0), 2 * _CHUNK + 3, np.random.default_rng(7))
         assert repr(chunked.to_dict()) == repr(reference.to_dict())
+
+    @pytest.mark.parametrize("n_samples", [np.int64(2 * _CHUNK + 3), np.uint32(5), np.int8(1)], ids=repr)
+    def test_numpy_integer_n_samples(self, n_samples):
+        # PCG64.advance overflowed on the numpy integer offsets this count gave.
+        report = midpoint_convexity_check(CS11, 0.5, (-1.0, 1.0), n_samples, seed=3)
+        reference = midpoint_convexity_check(CS11, 0.5, (-1.0, 1.0), int(n_samples), seed=3)
+        assert repr(report.to_dict()) == repr(reference.to_dict())
+
+    @pytest.mark.parametrize("n_samples", [1e3, 5.0, np.float64(7.0), "10", None], ids=repr)
+    def test_non_integer_n_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            midpoint_convexity_check(CS11, 0.5, (-1.0, 1.0), n_samples)
 
     def test_unseeded_draws_come_from_one_stream(self, monkeypatch):
         states = []
@@ -205,7 +220,11 @@ class TestChunkedMidpoint:
         ],
         ids=["later-chunk", "first-chunk", "tie", "tie-at-edge"],
     )
-    def test_first_worst_triple_wins(self, spikes, worst, index):
+    @pytest.mark.parametrize("cores", CORES)
+    def test_first_worst_triple_wins(self, pin_cores, spikes, worst, index, cores):
+        # Split among 2, 3 and 64 workers, the 5 chunks form ranges that start at
+        # chunks {0, 2}, {0, 1, 3} and every chunk, so the spikes cross range borders.
+        pin_cores(cores)
         # A spike of height v at a midpoint gives that triple the slack -v^2 / (1 + v^2); all others 0.
         n_samples = 4 * _CHUNK + 5
         mid = midpoints(11, n_samples)
@@ -223,10 +242,13 @@ class TestChunkedMidpoint:
         [
             ({_CHUNK + 20: 1.0, 2 * _CHUNK + 1: np.nan, 3 * _CHUNK + 3: 1e200}, 2 * _CHUNK + 1, "(0.0, 0.0, nan)"),
             ({3 * _CHUNK + 3: 1e200}, 3 * _CHUNK + 3, "(0.0, 0.0, inf)"),
+            ({10: np.nan, 3 * _CHUNK + 3: 1e200}, 10, "(0.0, 0.0, nan)"),  # in the first and last range
         ],
-        ids=["nan", "overflow"],
+        ids=["nan", "overflow", "first-range"],
     )
-    def test_first_non_finite_loss_raises(self, spikes, index, losses):
+    @pytest.mark.parametrize("cores", CORES)
+    def test_first_non_finite_loss_raises(self, pin_cores, spikes, index, losses, cores):
+        pin_cores(cores)
         n_samples = 4 * _CHUNK + 5
         mid = midpoints(11, n_samples)
         transform = SpikedTransform({mid[i]: value for i, value in spikes.items()})
@@ -234,19 +256,33 @@ class TestChunkedMidpoint:
             midpoint_convexity_check(transform, 0.0, (-100.0, 100.0), n_samples, seed=11)
         assert str(info.value).endswith(f"gives losses {losses}")
 
-    def test_memory_does_not_grow_with_samples(self):
-        def peak(n_samples):
-            tracemalloc.start()
-            try:
-                midpoint_convexity_check(CS11, 0.5, (-100.0, 100.0), n_samples, seed=3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+    def test_memory_does_not_grow_with_samples(self, pin_cores):
+        # One worker: the code each worker runs on its range.  With more, the
+        # peak moves by some hundred bytes between runs as threads interleave.
+        pin_cores(1)
+        peak = midpoint_peak_bytes
         peak(10**6)  # a first call also fills one-time caches
         small, large = peak(10**6), peak(2 * 10**6)
         assert small < 8 * 2**20  # the three one-pass draws alone take 24 MB
         assert large == small
+
+    def test_memory_with_two_workers_does_not_grow_with_samples(self, pin_cores):
+        pin_cores(2)
+        peak = midpoint_peak_bytes
+        peak(10**6)
+        small, large = peak(10**6), peak(2 * 10**6)
+        assert small < 8 * 2**20 and large < 8 * 2**20
+        assert abs(large - small) < _CHUNK * 8  # less than one chunk array
+
+
+def midpoint_peak_bytes(n_samples):
+    """tracemalloc's peak over one midpoint check of ``n_samples`` triples."""
+    tracemalloc.start()
+    try:
+        midpoint_convexity_check(CS11, 0.5, (-100.0, 100.0), n_samples, seed=3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMonotonicityCheck:
@@ -623,6 +659,11 @@ class TestVerificationBattery:
         a = verification_battery(ConvexSqrtTransform(2.0, 1.5), 1.5, 2000, seed=11)
         b = verification_battery(ConvexSqrtTransform(2.0, 1.5), 1.5, 2000, seed=11)
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
+
+    def test_numpy_integer_sample_count(self):
+        a = verification_battery(CS11, 1.0, np.int64(2000), seed=4)
+        b = verification_battery(CS11, 1.0, 2000, seed=4)
+        assert repr([r.to_dict() for r in a]) == repr([r.to_dict() for r in b])
 
 
 class TestReportRendering:
