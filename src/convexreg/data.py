@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .loss import Dataset
+from .loss import Dataset, _response
 from .transforms import Transform
 
 
@@ -288,8 +288,12 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
 def generate_synthetic(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
     """Draw a seeded synthetic dataset; returns (dataset, true weights).
 
-    With ``noise_std == 0`` the data is exactly realizable by the
-    generating transform and weights, so a convex fit can reach zero loss.
+    The features are drawn row by row and copied once to column-major
+    order, the layout :class:`Dataset` keeps.  The targets come from the
+    response kernel that fits and predictions use (:func:`loss._response`),
+    so with ``noise_std == 0`` the data is exactly realizable by the
+    generating transform and weights: the model with those weights
+    predicts every target exactly.
     """
     if spec.n_samples < 1:
         raise ValueError("n_samples must be a positive integer")
@@ -300,9 +304,9 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
 
     rng = np.random.default_rng(spec.seed)
     weights = rng.uniform(-1.0, 1.0, spec.n_features)
-    features = rng.uniform(-1.0, 1.0, (spec.n_samples, spec.n_features))
+    features = np.asfortranarray(rng.uniform(-1.0, 1.0, (spec.n_samples, spec.n_features)))
     noise = rng.normal(0.0, spec.noise_std, spec.n_samples) if spec.noise_std > 0 else 0.0
-    targets = spec.transform.evaluate(features @ weights + noise)
+    targets = spec.transform.evaluate(_response(features, weights) + noise)
     return Dataset(features, np.asarray(targets, dtype=float)), weights
 
 

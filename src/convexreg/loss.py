@@ -25,19 +25,25 @@ class TargetBoundWarning(UserWarning):
 
 
 def _frozen(array) -> np.ndarray:
-    """A read-only, C-contiguous float copy.
+    """A read-only, Fortran-ordered (column-major) float copy.
 
-    C order fixes the gradient's summation order (see :func:`_gradient`),
-    so results do not depend on the layout of the caller's array.
+    Column order keeps each feature contiguous, which fixes the summation
+    order of the response and the gradient (see :func:`_response` and
+    :func:`_gradient`), so results do not depend on the layout of the
+    caller's array.  A 1-D array is the same in either order.
     """
-    array = np.array(array, dtype=float, order="C")
+    array = np.array(array, dtype=float, order="F")
     array.flags.writeable = False
     return array
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable regression data: an (N, d) feature matrix and N targets."""
+    """Immutable regression data: an (N, d) feature matrix and N targets.
+
+    ``features`` is stored column-major (F-contiguous), one contiguous run
+    of N values per feature.
+    """
 
     features: np.ndarray
     targets: np.ndarray
@@ -85,13 +91,31 @@ class Model:
         object.__setattr__(self, "weights", weights)
 
     def predict(self, features) -> np.ndarray:
+        """``g(X w)`` for the rows of X, with the response from :func:`_response`.
+
+        The bits do not depend on the layout of ``features``, and match the
+        response a fit computes on a :class:`Dataset` of the same rows.
+        """
         features = np.asarray(features, dtype=float)
         if features.ndim != 2 or features.shape[1] != self.weights.size:
             raise DimensionMismatchError(
                 f"model has {self.weights.size} weights but features have "
                 f"{features.shape[-1] if features.ndim else 0} columns"
             )
-        return self.transform.evaluate(features @ self.weights)
+        return self.transform.evaluate(_response(features, self.weights))
+
+
+def _response(features, weights) -> np.ndarray:
+    """The linear response ``z = X w``, computed from column-major X.
+
+    Fits, :meth:`Model.predict` and synthetic targets all call it, so the
+    same rows and weights give the same z bit for bit, whatever the
+    caller's layout.  Column-major X makes the product a sum of columns
+    (Golub & Van Loan, *Matrix Computations*, sec. 1.1); the tests' thread
+    probes find its bits the same at one, two and four BLAS threads.  A
+    C-ordered X is copied first.
+    """
+    return np.asfortranarray(features, dtype=float) @ weights
 
 
 def _residual(transform: Transform, z, y):
@@ -167,7 +191,7 @@ def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.nda
     every caller judges it (NonFiniteLossError, a rejected trial).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        z = features @ weights
+        z = _response(features, weights)
         residual = _residual(transform, z, targets)
         # np.sum is pairwise over ascending sample index: reproducible bit-for-bit.
         return z, residual, float(np.sum(residual * residual))
@@ -180,11 +204,11 @@ _HESSIAN_BLOCK_ELEMENTS = 2**14
 def _gradient(features, transform, z, residual) -> np.ndarray:
     """Loss gradient ``sum_i 2 r_i g'(z_i) x_i`` from a point's response and residual.
 
-    For C-ordered features einsum adds the rows in ascending sample order,
-    one running sum per column, with no N x d temporary and no BLAS call,
-    so the bits do not depend on the BLAS thread count.
+    For column-major features each entry is one contiguous dot product of
+    a feature column with the slopes, with no N x d temporary and no BLAS
+    call, so the bits do not depend on the BLAS thread count.
     """
-    return np.einsum("ij,i->j", features, _slope(transform, z, residual))
+    return np.einsum("ji,i->j", features.T, _slope(transform, z, residual))
 
 
 def total_loss(model: Model, dataset: Dataset) -> float:
@@ -227,9 +251,10 @@ def _hessian(features, targets, transform, z) -> np.ndarray:
     """Loss Hessian ``sum_i l''(z_i, y_i) x_i x_i^T`` at a point with response z.
 
     The samples are taken in blocks of about ``_HESSIAN_BLOCK_ELEMENTS``
-    entries, transposed so that einsum reduces each entry as one
-    contiguous dot product.  It calls no BLAS, as in :func:`_gradient`, so
-    the bits do not depend on the BLAS thread count.
+    entries.  A block of column-major features, seen through ``features.T``,
+    holds each feature's samples contiguously, so einsum reduces each entry
+    as one contiguous dot product.  It calls no BLAS, as in
+    :func:`_gradient`, so the bits do not depend on the BLAS thread count.
     """
     curvature = psd_condition_value(transform, z, targets)
     n_samples, n_features = features.shape
@@ -237,6 +262,6 @@ def _hessian(features, targets, transform, z) -> np.ndarray:
     hessian = np.zeros((n_features, n_features))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_samples, rows):
-            block = features[start : start + rows].T.copy()
+            block = features.T[:, start : start + rows]
             hessian += np.einsum("ji,ki->jk", block * curvature[start : start + rows], block)
     return hessian

@@ -18,6 +18,7 @@ from convexreg import (
     Dataset,
     DatasetSpec,
     MissingTargetColumnError,
+    Model,
     NonNumericCellError,
     SynthSpec,
     TanhTransform,
@@ -406,11 +407,15 @@ class TestGenerateSynthetic:
         dataset, _ = generate_synthetic(SynthSpec(500, 3, transform, noise_std=5.0, seed=11))
         assert np.all(np.abs(dataset.targets) < 2.0)
 
-    def test_zero_noise_targets_are_the_transform_of_the_returned_weights(self):
+    # At 10 x 21 the row-major and column-major products differ in some
+    # cells; at 10 x 2 they agree.
+    @pytest.mark.parametrize("d", [2, 21])
+    def test_zero_noise_targets_are_the_transform_of_the_returned_weights(self, d):
         transform = ConvexSqrtTransform(1.0, 1.0)
-        dataset, w = generate_synthetic(SynthSpec(10, 2, transform, seed=12))
-        assert w.shape == (2,)
+        dataset, w = generate_synthetic(SynthSpec(10, d, transform, seed=12))
+        assert w.shape == (d,)
         assert dataset.targets.tobytes() == transform.evaluate(dataset.features @ w).tobytes()
+        assert Model(w, transform).predict(dataset.features).tobytes() == dataset.targets.tobytes()
 
     def test_validation(self):
         transform = ConvexSqrtTransform(1.0, 1.0)

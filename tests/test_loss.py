@@ -145,7 +145,7 @@ class TestInPlaceKernels:
         frozen = features.copy(), targets.copy()
         for w in (rng.normal(size=3), np.zeros(3), np.full(3, 1e200)):
             with np.errstate(all="ignore"):
-                z = features @ w
+                z = np.asfortranarray(features) @ w  # the column-major response, whatever the input layout
                 residual = t.evaluate(z) - targets
                 expected = (z, residual, float(np.sum(residual * residual)))
             with warnings.catch_warnings():
@@ -462,3 +462,19 @@ class TestDataTypes:
         np.testing.assert_allclose(model.predict(np.array([[3.0], [0.0]])), [1.0, 0.0])
         with pytest.raises(DimensionMismatchError):
             model.predict(np.array([[1.0, 2.0]]))
+
+    def test_dataset_stores_features_column_major(self):
+        dataset = Dataset(np.arange(6.0).reshape(3, 2), np.zeros(3))
+        assert dataset.features.flags.f_contiguous
+        assert dataset.features.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+    def test_model_predict_matches_the_fit_response_for_any_layout(self):
+        rng = np.random.default_rng(467)
+        rows = rng.uniform(-1.0, 1.0, (20_000, 21))
+        model = Model(rng.uniform(-1.0, 1.0, 21), CS11)
+        dataset = Dataset(rows, np.zeros(20_000))
+        z = _evaluate(dataset.features, dataset.targets, CS11, model.weights)[0]
+        # At this size the row-major product differs from the column-major one.
+        assert (rows @ model.weights).tobytes() != z.tobytes()
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert model.predict(layout(rows)).tobytes() == CS11.evaluate(z).tobytes()
