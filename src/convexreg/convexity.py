@@ -9,12 +9,14 @@ independently.
 from __future__ import annotations
 
 import operator
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from . import _cores
 from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _evaluate, _gradient
 from .transforms import Transform
 
@@ -29,6 +31,14 @@ HESSIAN_STEP = 1e-5
 # 128 KB arrays fit in a core's L2 cache, so its elementwise passes do not
 # go out to memory.
 _CHUNK = 2**14
+
+
+def _usable_cores() -> int:
+    """Cores this process may be scheduled on (its affinity mask, where the platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class InvalidGridError(ValueError):
@@ -149,10 +159,16 @@ def midpoint_convexity_check(
 
     state = np.random.default_rng(seed).bit_generator.state
     n_chunks = -(-n_samples // _CHUNK)
-    n_ranges = _cores.workers(n_chunks)
+    n_ranges = min(n_chunks, _usable_cores())
     starts = [n_chunks * k // n_ranges * _CHUNK for k in range(n_ranges)] + [n_samples]
 
-    def judge_range(k, halted):
+    # The caller's error state, with overflow and invalid values let through
+    # for the finiteness test below.  Every range sets it: a thread starts
+    # from numpy's defaults, not from its creator's state.
+    chunk_errors = {**np.geterr(), "over": "ignore", "invalid": "ignore"}
+    stopped = threading.Event()
+
+    def judge_range(k):
         # One copy of the stream per variable, each jumped ahead to where the
         # one-stream draw reaches the range's first triple, so any split of the
         # triples draws the same numbers.
@@ -164,7 +180,7 @@ def midpoint_convexity_check(
         z1_rng, z2_rng, lam_rng = streams
         first_worst = None
         for start in range(starts[k], starts[k + 1], _CHUNK):
-            if halted():
+            if stopped.is_set():
                 return None
             size = min(_CHUNK, n_samples - start)
             z1, z2 = z1_rng.uniform(lo, hi, size), z2_rng.uniform(lo, hi, size)
@@ -174,7 +190,7 @@ def midpoint_convexity_check(
             # operations.  mid is overwritten by the scale and l1 by the slack;
             # no second name holds an array into the next chunk, whose arrays
             # replace these one by one.
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(**chunk_errors):
                 l1 = loss_z(transform, z1, y)
                 l2 = loss_z(transform, z2, y)
                 mu = 1.0 - lam
@@ -206,9 +222,19 @@ def midpoint_convexity_check(
                 first_worst = float(l1[idx]), (float(z1[idx]), float(z2[idx]), float(lam[idx]))
         return first_worst
 
+    # The calling thread judges range 0.  Reading the other ranges in order
+    # raises the lowest failing range's error, the one the serial run raises;
+    # once the caller stops waiting, the ranges still running stop at their
+    # next chunk, and leaving the ``with`` joins the pool's threads.
+    with ThreadPoolExecutor(max(1, n_ranges - 1)) as pool:
+        try:
+            futures = [pool.submit(judge_range, k) for k in range(1, n_ranges)]
+            ranges = [judge_range(0), *(f.result() for f in futures)]
+        finally:
+            stopped.set()
     # min keeps the first of equal slacks: across ranges, too, a tie goes to
     # the earlier triple.
-    worst, witness = min(_cores.run_indexed(judge_range, n_ranges), key=lambda pair: pair[0])
+    worst, witness = min(ranges, key=lambda pair: pair[0])
     return ConvexityReport(
         check_name=check_name,
         passed=worst >= -tol,

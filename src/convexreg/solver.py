@@ -257,10 +257,13 @@ def ols_fit(dataset: Dataset) -> np.ndarray:
 
     Solved with a symmetric positive-definite factorization; raises
     SingularSystemError (carrying the offending pivot index) when the
-    smallest pivot is not above 1e-12 of the largest.
+    smallest pivot is not above 1e-12 of the largest.  Both products are
+    contiguous dot products of the column-major feature columns, reduced by
+    einsum without BLAS, so the bits do not depend on the BLAS thread count.
     """
-    gram = dataset.features.T @ dataset.features
-    rhs = dataset.features.T @ dataset.targets
+    columns = dataset.features.T
+    gram = np.einsum("ji,ki->jk", columns, columns)
+    rhs = np.einsum("ji,i->j", columns, dataset.targets)
     factor = _cholesky_with_pivots(gram)
     halfway = np.linalg.solve(factor, rhs)
     return np.linalg.solve(factor.T, halfway)

@@ -2,7 +2,8 @@
 
 ``src/`` goes on ``sys.path`` for the test process and on ``PYTHONPATH``
 for the ``python -m convexreg`` subprocesses that the CLI tests start.
-The ``pin_cores`` fixture sets the core count the worker threads see.
+The ``pin_cores`` fixture sets the core count the midpoint check sees, and
+so the number of chunk ranges it judges at the same time.
 """
 
 import os
@@ -22,10 +23,10 @@ if SRC not in _inherited:
 
 @pytest.fixture()
 def pin_cores(monkeypatch):
-    """``pin_cores(n)`` makes convexreg's worker threads see n usable cores for one test."""
-    from convexreg import _cores
+    """``pin_cores(n)`` makes the midpoint check see n usable cores for one test."""
+    from convexreg import convexity
 
     def pin(count):
-        monkeypatch.setattr(_cores, "_usable_cores", lambda: count)
+        monkeypatch.setattr(convexity, "_usable_cores", lambda: count)
 
     return pin

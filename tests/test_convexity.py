@@ -1,9 +1,12 @@
 """Tests for the convexity certification lab."""
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -161,12 +164,127 @@ class SpikedTransform:
         return g
 
 
+class RecordingTransform:
+    """tanh that records the thread and the numpy error state of each call.
+
+    The first call on each thread waits until ``ranges`` threads have made
+    theirs, so no range can finish before the others start.
+    """
+
+    def __init__(self, ranges):
+        self.arrived = threading.Barrier(ranges, timeout=10)
+        self.calls = []
+
+    def evaluate(self, z):
+        ident = threading.get_ident()
+        first = all(ident != seen for seen, _ in self.calls)
+        self.calls.append((ident, np.geterr()))
+        if first:
+            self.arrived.wait()
+        return np.tanh(z)
+
+
+class InterruptingTransform:
+    """tanh whose first call on a worker thread interrupts the main thread.
+
+    The interrupt is sent once the main thread judges range 0, after it has
+    handed every other range to the pool.  Each worker thread's first call
+    then waits until the main thread has taken the interrupt, so every
+    worker that has begun is inside its first chunk when the caller stops
+    waiting.  ``calls`` counts the calls on each worker thread.
+    """
+
+    def __init__(self, taken):
+        self.taken = taken
+        self.judging = threading.Event()
+        self.once = threading.Lock()
+        self.calls = {}
+
+    def evaluate(self, z):
+        thread = threading.current_thread()
+        if thread is threading.main_thread():
+            self.judging.set()
+        else:
+            self.calls[thread] = self.calls.get(thread, 0) + 1
+            if self.calls[thread] == 1:
+                if self.once.acquire(blocking=False):
+                    assert self.judging.wait(10)
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                assert self.taken.wait(10)
+                time.sleep(0.2)  # the caller unwinds to where it stops the ranges
+        return np.tanh(z)
+
+
+class LateFailureTransform(SpikedTransform):
+    """SpikedTransform whose call that meets ``first`` waits until a call has met ``last``.
+
+    So the range holding the earlier spike fails after the range holding
+    the later one.
+    """
+
+    def __init__(self, spikes, first, last):
+        super().__init__(spikes)
+        self.first, self.last = first, last
+        self.last_met = threading.Event()
+
+    def evaluate(self, z):
+        z = np.asarray(z, dtype=float)
+        if (z == self.first).any():
+            assert self.last_met.wait(10)
+            time.sleep(0.1)  # the later range raises its error
+        g = super().evaluate(z)
+        if (z == self.last).any():
+            self.last_met.set()
+        return g
+
+
+class FailingRangeTransform:
+    """tanh that gives nan on each first call of the failing threads.
+
+    ``failing`` is "caller" (the main thread, which judges range 0) or
+    "workers".  The first call on each thread waits until ``ranges``
+    threads have made theirs.  Each first call of the other threads then
+    waits until a failing call has been made, and 0.1 s more, so the
+    failure is raised while those threads are inside a chunk.  ``calls``
+    counts the calls on each thread.
+    """
+
+    def __init__(self, failing, ranges):
+        self.failing = failing
+        self.arrived = threading.Barrier(ranges, timeout=10)
+        self.failed = threading.Event()
+        self.calls = {}
+
+    def evaluate(self, z):
+        thread = threading.current_thread()
+        self.calls[thread] = self.calls.get(thread, 0) + 1
+        fails = (thread is threading.main_thread()) == (self.failing == "caller")
+        if self.calls[thread] == 1:
+            self.arrived.wait()
+            if fails:
+                self.failed.set()
+                return np.full_like(z, np.nan)
+            assert self.failed.wait(10)
+            time.sleep(0.1)
+        return np.tanh(z)
+
+
 class TestChunkedMidpoint:
     """The check draws and judges its triples in chunks, with the one-pass result."""
 
+    @pytest.fixture(autouse=True)
+    def no_stray_threads(self):
+        # Every range's thread is joined before the check returns or raises.
+        before = threading.enumerate()
+        yield
+        assert threading.enumerate() == before
+
     @pytest.mark.parametrize("cores", CORES)
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("n_samples", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**5])
+    # 64 * _CHUNK + 1: more chunks than the 64 ranges, so ranges of one and two chunks.
+    @pytest.mark.parametrize(
+        "n_samples", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7, 10**5, 64 * _CHUNK + 1]
+    )
     @pytest.mark.parametrize("transform", [CS11, TANH1, AFF], ids=["convex-sqrt", "tanh", "affine"])
     def test_same_report_as_one_pass(self, pin_cores, transform, n_samples, seed, cores):
         pin_cores(cores)
@@ -256,16 +374,89 @@ class TestChunkedMidpoint:
             midpoint_convexity_check(transform, 0.0, (-100.0, 100.0), n_samples, seed=11)
         assert str(info.value).endswith(f"gives losses {losses}")
 
+    @pytest.mark.parametrize("first", [10, _CHUNK + 20], ids=["range-0", "second-chunk"])
+    @pytest.mark.parametrize("cores", [2, 3, 64])
+    def test_lowest_failing_range_wins_when_it_fails_last(self, pin_cores, first, cores):
+        # The spike at _CHUNK + 20 is in range 0 at 2 cores and in range 1 at 3 and 64.
+        pin_cores(cores)
+        n_samples = 4 * _CHUNK + 5
+        last = 4 * _CHUNK + 3  # in the last range
+        mid = midpoints(11, n_samples)
+        transform = LateFailureTransform({mid[first]: np.nan, mid[last]: np.nan}, mid[first], mid[last])
+        with pytest.raises(NonFiniteCheckError, match=rf"the loss is not finite at sampled triple {first} of"):
+            midpoint_convexity_check(transform, 0.0, (-100.0, 100.0), n_samples, seed=11)
+        assert transform.last_met.is_set()
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_earlier_ranges_finish_after_a_later_failure(self, pin_cores, cores):
+        # Range 0 can still hold a lower failure, so it is judged to its end.
+        pin_cores(cores)
+        transform = FailingRangeTransform("workers", cores)
+        with pytest.raises(NonFiniteCheckError) as info:
+            midpoint_convexity_check(transform, 0.5, (-100.0, 100.0), 9 * _CHUNK, seed=1)
+        # Range 1 starts at chunk 9 // cores; every chunk makes three loss evaluations.
+        assert f"at sampled triple {9 // cores * _CHUNK} of" in str(info.value)
+        assert transform.calls[threading.main_thread()] == 3 * (9 // cores)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_a_failure_in_range_0_stops_the_later_ranges(self, pin_cores, cores):
+        pin_cores(cores)
+        transform = FailingRangeTransform("caller", cores)
+        with pytest.raises(NonFiniteCheckError, match="at sampled triple 0 of"):
+            # 30 chunks: each worker's range holds at least 10.
+            midpoint_convexity_check(transform, 0.5, (-100.0, 100.0), 30 * _CHUNK, seed=1)
+        workers = [count for thread, count in transform.calls.items() if thread is not threading.main_thread()]
+        # Each worker stops after the chunk it was in: three loss evaluations.
+        assert workers and all(count <= 3 for count in workers)
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_ranges_run_on_their_own_threads_with_the_callers_error_state(self, pin_cores, monkeypatch, cores):
+        pin_cores(cores)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        transform = RecordingTransform(cores)
+        with np.errstate(divide="raise", under="warn"):
+            midpoint_convexity_check(transform, 0.5, (-100.0, 100.0), 3 * _CHUNK + 7, seed=1)
+        # The calling thread judges range 0, so one core starts no thread.
+        assert len(started) == cores - 1
+        idents = {ident for ident, _ in transform.calls}
+        assert len(idents) == cores and threading.get_ident() in idents
+        # Overflow and invalid values are let through for the check's own finiteness test.
+        expected = {"divide": "raise", "over": "ignore", "under": "warn", "invalid": "ignore"}
+        assert [state for _, state in transform.calls] == [expected] * len(transform.calls)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_interrupt_in_the_caller_stops_every_range(self, pin_cores, cores):
+        pin_cores(cores)
+        taken = threading.Event()
+
+        def take_interrupt(signum, frame):
+            taken.set()
+            raise KeyboardInterrupt
+
+        transform = InterruptingTransform(taken)
+        handler = signal.signal(signal.SIGINT, take_interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                # 30 chunks: each worker's range holds at least 10.
+                midpoint_convexity_check(transform, 0.5, (-100.0, 100.0), 30 * _CHUNK, seed=1)
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        # Each worker stops after the chunk it was in: three loss evaluations.
+        assert transform.calls and all(count <= 3 for count in transform.calls.values())
+
     def test_memory_does_not_grow_with_samples(self, pin_cores):
-        # One worker: the code each worker runs on its range.  With more, the
+        # One core: one range, judged by the calling thread.  With more, the
         # peak moves by some hundred bytes between runs as threads interleave.
         pin_cores(1)
         peak = midpoint_peak_bytes
         # A process's first calls also fill interpreter caches that tracemalloc
         # counts: CPython's free list of small dict keys, which np.argmin's
         # keyword dicts draw from, adds some hundred bytes to the first two
-        # peaks; and each threading.Event that a call makes is traced 16 bytes
-        # smaller than the one before, over the first ~25 (CPython 3.11).
+        # peaks; and the threading.Event and thread pool that each call makes
+        # are traced 8 to 88 bytes smaller than the call before's, over the
+        # first ~25 (CPython 3.11).
         for _ in range(40):
             peak(3 * _CHUNK)
         small, large = peak(10**6), peak(2 * 10**6)

@@ -306,8 +306,8 @@ class TestMultiRestart:
             assert reports[index].to_dict() == expected.to_dict()
 
 
-# Prints the bits of a gradient, a Hessian, a Newton decrement and a short
-# fit at 200,000 x 21.  Below about that size the thread-unstable reductions
+# Prints the bits of a gradient, a Hessian, a Newton decrement, a short fit
+# and a least-squares solution at 200,000 x 21.  Below about that size the thread-unstable reductions
 # (c @ X, X.T @ c) still give the same bits at one and two BLAS threads, so
 # a smaller matrix would not catch them.
 _THREAD_PROBE = textwrap.dedent(
@@ -315,7 +315,7 @@ _THREAD_PROBE = textwrap.dedent(
     import json
     import numpy as np
     from convexreg import ConvexSqrtTransform, Dataset, Model, SolverConfig, SynthSpec
-    from convexreg import gd_fit, generate_synthetic, total_gradient
+    from convexreg import gd_fit, generate_synthetic, ols_fit, total_gradient
     from convexreg.loss import _gradient, _hessian
     from convexreg.solver import _newton_decrement
 
@@ -332,6 +332,7 @@ _THREAD_PROBE = textwrap.dedent(
     print(_newton_decrement(dataset.features, dataset.targets, transform, z, grad).hex())
     report = gd_fit(dataset, transform, np.zeros(21), SolverConfig(max_iters=3))
     print(json.dumps(report.to_dict()))
+    print(ols_fit(dataset).tobytes().hex())
     """
 )
 
