@@ -38,7 +38,6 @@ from .solver import (
 )
 from .convexity import (
     ConvexityReport,
-    DimensionTooLargeError,
     InvalidGridError,
     NonFiniteCheckError,
     NonFiniteHessianError,
@@ -72,7 +71,6 @@ __all__ = [
     "Dataset",
     "DatasetSpec",
     "DimensionMismatchError",
-    "DimensionTooLargeError",
     "FitReport",
     "InvalidGridError",
     "MissingTargetColumnError",

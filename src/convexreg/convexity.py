@@ -11,7 +11,6 @@ from __future__ import annotations
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -19,8 +18,6 @@ import numpy as np
 
 from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _evaluate, _gradient
 from .transforms import Transform
-
-_MAX_HESSIAN_DIM = 50
 
 MIDPOINT_TOL = 1e-9
 MONOTONICITY_TOL = 1e-9
@@ -43,10 +40,6 @@ def _usable_cores() -> int:
 
 class InvalidGridError(ValueError):
     """An evaluation grid is empty, unsorted, or otherwise malformed."""
-
-
-class DimensionTooLargeError(ValueError):
-    """The finite-difference Hessian check is limited to 50 dimensions."""
 
 
 class NonFiniteCheckError(ValueError):
@@ -222,6 +215,9 @@ def midpoint_convexity_check(
                 first_worst = float(l1[idx]), (float(z1[idx]), float(z2[idx]), float(lam[idx]))
         return first_worst
 
+    # Imported here: the pool, and the logging it loads, serve only this check.
+    from concurrent.futures import ThreadPoolExecutor
+
     # The calling thread judges range 0.  Reading the other ranges in order
     # raises the lowest failing range's error, the one the serial run raises;
     # once the caller stops waiting, the ranges still running stop at their
@@ -338,20 +334,17 @@ def fd_hessian_psd_check(
     ``fd_step * (1 + |w_i|)`` build the matrix from 2d gradient passes; it
     is symmetrized as (H + H^T)/2 and its minimum eigenvalue, normalized
     by ``1 + max |H entry|``, is the reported slack.  The witness pairs w
-    with the offending eigenvector.  The check is a cross-check for small
-    problems, so the dimension is capped at 50.  Raises
-    NonFiniteHessianError when a loss or an entry is not finite.
+    with the offending eigenvector.  Raises ValueError for a ``w`` that
+    is not finite, and NonFiniteHessianError when a loss or an entry is
+    not finite.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size != dataset.n_features:
         raise DimensionMismatchError(
             f"w has {w.size} entries but the dataset has {dataset.n_features} features"
         )
-    if dataset.n_features > _MAX_HESSIAN_DIM:
-        raise DimensionTooLargeError(
-            f"finite-difference Hessian limited to {_MAX_HESSIAN_DIM} dimensions, "
-            f"got {dataset.n_features}"
-        )
+    if not np.all(np.isfinite(w)):
+        raise ValueError("w must be finite")
     if not fd_step > 0.0:
         raise ValueError("fd_step must be positive")
     if not tol > 0.0:

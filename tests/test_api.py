@@ -1,5 +1,7 @@
 """The package's public names and settable fields: a removal or addition has to change these lists."""
 
+import subprocess
+import sys
 from dataclasses import fields
 
 import convexreg
@@ -12,7 +14,6 @@ PUBLIC_API = [
     "Dataset",
     "DatasetSpec",
     "DimensionMismatchError",
-    "DimensionTooLargeError",
     "FitReport",
     "InvalidGridError",
     "MissingTargetColumnError",
@@ -64,3 +65,11 @@ def test_solver_and_synth_settings_are_the_recorded_fields():
     assert [f.name for f in fields(convexreg.SynthSpec)] == [
         "n_samples", "n_features", "transform", "noise_std", "seed",
     ]
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # Only the midpoint check uses concurrent.futures; it imports the module when it runs.
+    probe = "import sys, convexreg, convexreg.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

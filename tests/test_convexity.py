@@ -18,7 +18,6 @@ from convexreg import (
     ConvexityReport,
     Dataset,
     DimensionMismatchError,
-    DimensionTooLargeError,
     InvalidGridError,
     Model,
     NonFiniteCheckError,
@@ -37,7 +36,7 @@ from convexreg import (
     total_loss,
     verification_battery,
 )
-from convexreg.convexity import _CHUNK, _fd_hessian
+from convexreg.convexity import _CHUNK, _fd_hessian, _usable_cores
 from convexreg.loss import _evaluate, _hessian
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
@@ -446,6 +445,14 @@ class TestChunkedMidpoint:
         # Each worker stops after the chunk it was in: three loss evaluations.
         assert transform.calls and all(count <= 3 for count in transform.calls.values())
 
+    def test_usable_cores_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _usable_cores() == 4
+        # os.cpu_count returns None when the count cannot be determined.
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cores() == 1
+
     def test_memory_does_not_grow_with_samples(self, pin_cores):
         # One core: one range, judged by the calling thread.  With more, the
         # peak moves by some hundred bytes between runs as threads interleave.
@@ -564,11 +571,13 @@ class TestHessianCheck:
         asymmetry = np.abs(hessian - hessian.T).max()
         assert asymmetry <= 100.0 * 1e-5 * (1.0 + np.abs(hessian).max())
 
-    def test_dimension_cap(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_w_rejected(self, bad):
+        # The input is at fault, not the loss: no finite-difference point is evaluated.
         rng = np.random.default_rng(404)
-        dataset = Dataset(rng.uniform(-1, 1, (60, 51)), rng.uniform(-1, 1, 60))
-        with pytest.raises(DimensionTooLargeError):
-            fd_hessian_psd_check(dataset, CS11, np.zeros(51))
+        dataset = Dataset(rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, 10))
+        with pytest.raises(ValueError, match="w must be finite"):
+            fd_hessian_psd_check(dataset, CS11, np.array([bad, 0.0, 0.0]))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(405)
@@ -647,6 +656,18 @@ class TestGradientDifferences:
         exact = _hessian(dataset.features, dataset.targets, transform,
                          _evaluate(dataset.features, dataset.targets, transform, w)[0])
         assert np.abs(hessian - exact).max() <= 1e-8 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("d", [51, 100])
+    @pytest.mark.parametrize("transform", TRANSFORMS, ids=repr)
+    def test_check_agrees_with_exact_hessian_beyond_fifty_dimensions(self, transform, d):
+        dataset, w, _ = hessian_problem(5000, d, seed=33)
+        report = fd_hessian_psd_check(dataset, transform, w)
+        exact = _hessian(dataset.features, dataset.targets, transform,
+                         _evaluate(dataset.features, dataset.targets, transform, w)[0])
+        slack = np.linalg.eigvalsh(exact)[0] / (1.0 + np.abs(exact).max())
+        assert abs(report.worst_violation - slack) <= 1e-8
+        assert report.passed == (not isinstance(transform, TanhTransform))
+        assert report.samples_tested == d * d
 
     def test_same_bytes_at_one_two_and_four_blas_threads(self):
         outputs = []
