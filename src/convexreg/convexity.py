@@ -221,13 +221,21 @@ def midpoint_convexity_check(
     # The calling thread judges range 0.  Reading the other ranges in order
     # raises the lowest failing range's error, the one the serial run raises;
     # once the caller stops waiting, the ranges still running stop at their
-    # next chunk, and leaving the ``with`` joins the pool's threads.
-    with ThreadPoolExecutor(max(1, n_ranges - 1)) as pool:
-        try:
-            futures = [pool.submit(judge_range, k) for k in range(1, n_ranges)]
-            ranges = [judge_range(0), *(f.result() for f in futures)]
-        finally:
-            stopped.set()
+    # next chunk, and leaving the ``with`` joins the pool's threads.  The pool
+    # joins only threads whose start() returned; an interrupt inside start()
+    # leaves one out, so the outer ``finally`` joins the call's threads by name.
+    prefix = f"convexreg-midpoint-{id(stopped):x}"
+    try:
+        with ThreadPoolExecutor(max(1, n_ranges - 1), thread_name_prefix=prefix) as pool:
+            try:
+                futures = [pool.submit(judge_range, k) for k in range(1, n_ranges)]
+                ranges = [judge_range(0), *(f.result() for f in futures)]
+            finally:
+                stopped.set()
+    finally:
+        for thread in threading.enumerate():
+            if thread.name.startswith(prefix + "_") and thread.is_alive():
+                thread.join()
     # min keeps the first of equal slacks: across ranges, too, a tie goes to
     # the earlier triple.
     worst, witness = min(ranges, key=lambda pair: pair[0])

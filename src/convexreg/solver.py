@@ -102,10 +102,14 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     """Minimize the cumulative squared loss by gradient descent from ``w0``.
 
     Each iteration takes a step s along the negative gradient g.  The first
-    trial is s = 1; later ones warm-start from the previously accepted
-    step, doubled.  The step is halved until the Armijo test
+    trial is s = 1; later ones start from the Barzilai-Borwein step
+    ``s_prev * g_prev^T (g_prev - g) / ||g - g_prev||^2``, built from the
+    previous iteration's gradient g_prev and accepted step s_prev, or from
+    s_prev doubled where that quotient is not a finite positive number.
+    The step is halved until the Armijo test
     ``L(w - s*g) <= L(w) - 1e-4 * s * ||g||^2`` passes, so the loss trace
-    is nonincreasing.  Terminations:
+    is nonincreasing.  A search from the Barzilai-Borwein step that fails
+    is run once more from s_prev doubled.  Terminations:
 
     - ``converged``: gradient norm fell below ``grad_tol * (1 + |loss|)``;
     - ``max_iters``: iteration budget exhausted;
@@ -155,8 +159,9 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
     trace = [loss]
     iterations = 0
     termination = TERMINATION_MAX_ITERS
-    # Each iteration first divides the step by _BACKTRACK: the first trial is 1.
+    # The first iteration doubles this step: its first trial is 1.
     step = _BACKTRACK
+    previous_grad = None
 
     for _ in range(config.max_iters):
         if grad_norm <= config.grad_tol * (1.0 + abs(loss)):
@@ -164,18 +169,24 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
             break
 
         grad_sq = grad_norm * grad_norm
-        step = step / _BACKTRACK
+        doubled = step / _BACKTRACK
+        first = doubled if previous_grad is None else _bb_step(step, previous_grad, grad)
         accepted = False
-        while step > _MIN_STEP and step * grad_sq >= _EPS * loss:
-            w_try, z_try, residual_try, loss_try = _trial(features, targets, transform, w, grad, step)
-            # Strict decrease is required on top of the Armijo test: at the
-            # floating-point floor the Armijo threshold rounds to loss itself,
-            # which would otherwise accept zero-progress steps forever.
-            # NaN/inf trial losses fail both tests and shrink the step.
-            if loss_try <= loss - _ARMIJO_C * step * grad_sq and loss_try < loss:
-                accepted = True
+        # A search from the Barzilai-Borwein step that fails is retried once
+        # from the doubled step before the fit is labelled.
+        for step in (first,) if first == doubled else (first, doubled):
+            while step > _MIN_STEP and step * grad_sq >= _EPS * loss:
+                w_try, z_try, residual_try, loss_try = _trial(features, targets, transform, w, grad, step)
+                # Strict decrease is required on top of the Armijo test: at the
+                # floating-point floor the Armijo threshold rounds to loss itself,
+                # which would otherwise accept zero-progress steps forever.
+                # NaN/inf trial losses fail both tests and shrink the step.
+                if loss_try <= loss - _ARMIJO_C * step * grad_sq and loss_try < loss:
+                    accepted = True
+                    break
+                step *= _BACKTRACK
+            if accepted:
                 break
-            step *= _BACKTRACK
         if not accepted:
             at_floor = _newton_decrement(features, targets, transform, z, grad) <= _EPS * loss
             termination = TERMINATION_AT_FLOOR if at_floor else TERMINATION_STALLED
@@ -184,6 +195,7 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
         w, z, residual, loss = w_try, z_try, residual_try, loss_try
         trace.append(loss)
         iterations += 1
+        previous_grad = grad
         grad, grad_norm = _gradient_and_norm(features, transform, z, residual)
 
     return FitReport(
@@ -194,6 +206,28 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
         termination=termination,
         loss_trace=_frozen(np.asarray(trace)),
     )
+
+
+def _bb_step(step, previous_grad, grad) -> float:
+    """The first trial step after an accepted step ``step`` along ``-previous_grad``.
+
+    It is the Barzilai-Borwein step ``s^T y / y^T y`` (the second of the
+    two in *IMA J. Numer. Anal.* 8, 1988), for ``s = -step * previous_grad``
+    and ``y = grad - previous_grad``: the a that best fits the secant
+    equation ``s = a * y`` in least squares.  It is ``step`` doubled when
+    ``s^T y <= 0``, when ``y^T y = 0`` or when the quotient is not finite.
+    The dot products are reduced by einsum without BLAS, so the bits do not
+    depend on the BLAS thread count.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = grad - previous_grad
+        sy = -step * float(np.einsum("i,i->", previous_grad, y))
+        yy = float(np.einsum("i,i->", y, y))
+    if sy > 0.0 and yy > 0.0:
+        quotient = sy / yy
+        if math.isfinite(quotient):
+            return quotient
+    return step / _BACKTRACK
 
 
 def _trial(features, targets, transform, w, grad, step):

@@ -142,9 +142,10 @@ class TestFit:
 
     @pytest.mark.parametrize("column, echo", [("target", "target"), ("0", 0)], ids=["name", "index"])
     def test_target_column_is_a_name_or_an_index(self, synth_dir, capsys, column, echo):
-        # With x1 as the target the fit stalls (exit 4), so only the echo and the weights are pinned.
+        # With x1 as the target (the index id) the loss Hessian's eigenvalues span 0.05 to 25
+        # near the optimum; both fits still end converged.
         code, out, err = run_main(capsys, "fit", "--data", synth_dir / "data.csv", "--target-column", column)
-        assert code in (0, 4), err
+        assert code == 0, err
         report = report_of(out)
         assert report["config_echo"]["target_column"] == echo
         assert type(report["config_echo"]["target_column"]) is type(echo)

@@ -445,6 +445,21 @@ class TestChunkedMidpoint:
         # Each worker stops after the chunk it was in: three loss evaluations.
         assert transform.calls and all(count <= 3 for count in transform.calls.values())
 
+    def test_interrupt_while_the_pool_starts_a_thread(self, pin_cores, monkeypatch):
+        # The interrupt lands after the thread has started but before the pool
+        # records it, so only the check's own join can end it; no_stray_threads
+        # judges that.
+        pin_cores(3)
+        start = threading.Thread.start
+
+        def start_then_interrupt(thread):
+            start(thread)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(threading.Thread, "start", start_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            midpoint_convexity_check(CS11, 0.5, (-100.0, 100.0), 3 * _CHUNK + 7, seed=1)
+
     def test_usable_cores_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

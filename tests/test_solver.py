@@ -1,5 +1,6 @@
 """Tests for gradient descent, OLS, and multi-restart consistency."""
 
+import math
 import os
 import subprocess
 import sys
@@ -452,3 +453,120 @@ class TestRoundingFloor:
         h = 1e-4
         fd = (loss_z(transform, z + h, y) - 2.0 * loss_z(transform, z, y) + loss_z(transform, z - h, y)) / (h * h)
         np.testing.assert_allclose(psd_condition_value(transform, z, y), fd, rtol=1e-6, atol=1e-6)
+
+
+def recorded_searches(monkeypatch):
+    """Record every line-search trial as ``(w, grad, step)``, and each Newton decrement as None."""
+    events = []
+    trial, decrement = solver._trial, solver._newton_decrement
+
+    def recording_trial(features, targets, transform, w, grad, step):
+        events.append((w, grad, step))
+        return trial(features, targets, transform, w, grad, step)
+
+    def recording_decrement(*args):
+        events.append(None)
+        return decrement(*args)
+
+    monkeypatch.setattr(solver, "_trial", recording_trial)
+    monkeypatch.setattr(solver, "_newton_decrement", recording_decrement)
+    return events
+
+
+def searches(events):
+    """The trials grouped into line searches, one per point they leave."""
+    groups = []
+    for event in events:
+        if event is None:
+            continue
+        if not groups or not np.array_equal(groups[-1][0][0], event[0]):
+            groups.append([])
+        groups[-1].append(event)
+    return groups
+
+
+class TestBarzilaiBorweinStep:
+    """Each line search after the first starts from the Barzilai-Borwein step."""
+
+    def test_second_search_starts_from_the_bb_step(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        dataset = Dataset(rng.normal(size=(60, 3)), rng.normal(size=60))
+        events = recorded_searches(monkeypatch)
+        report = gd_fit(dataset, AffineTransform(1.5, 0.2), np.zeros(3), SolverConfig(max_iters=2))
+        assert report.iterations == 2
+        first, second = searches(events)[:2]
+        assert first[0][2] == 1.0
+        step = first[-1][2]  # the accepted trial ends its search
+        previous = [float(v) for v in first[0][1]]
+        grad = [float(v) for v in second[0][1]]
+        change = [g - p for g, p in zip(grad, previous)]
+        expected = -step * sum(p * c for p, c in zip(previous, change)) / sum(c * c for c in change)
+        assert second[0][2] == pytest.approx(expected, rel=1e-12)
+        assert second[0][2] != 2.0 * step
+
+    @pytest.mark.parametrize(
+        "step, previous_grad, grad, guard",
+        [
+            (0.5, 1.0, 2.0, "sy <= 0"),
+            (0.5, 1.0, 1.0, "sy <= 0"),  # y = 0
+            (1.0, -1e-150, float(np.nextafter(-1e-150, 0.0)), "yy == 0"),  # y^T y underflows, s^T y does not
+            (1e300, -1.0, -1.0 + 2.0**-52, "not finite"),  # the quotient overflows
+        ],
+        ids=["negative-curvature", "no-change", "y-underflows", "infinite-quotient"],
+    )
+    def test_guards_give_the_doubled_step(self, step, previous_grad, grad, guard):
+        change = grad - previous_grad
+        sy, yy = -step * previous_grad * change, change * change
+        premise = {
+            "sy <= 0": lambda: sy <= 0.0,
+            "yy == 0": lambda: sy > 0.0 and yy == 0.0,
+            "not finite": lambda: sy / yy == math.inf,
+        }
+        assert premise[guard]()
+        bb = solver._bb_step(step, np.array([previous_grad, 0.0]), np.array([grad, 0.0]))
+        assert bb == 2.0 * step
+
+    def test_a_failed_bb_search_is_retried_from_the_doubled_step(self, monkeypatch):
+        # A Barzilai-Borwein step of 0 admits no trial, so each search after
+        # the first runs only if the doubled step is tried after it.
+        monkeypatch.setattr(solver, "_bb_step", lambda step, previous_grad, grad: 0.0)
+        events = recorded_searches(monkeypatch)
+        generated, _ = generate_synthetic(STALLED_FIT)
+        report = gd_fit(generated, ConvexSqrtTransform(1.0, 3.0), np.zeros(8))
+        assert report.iterations > 2
+        groups = searches(events)
+        for previous, search in zip(groups, groups[1:]):
+            assert search[0][2] == 2.0 * previous[-1][2]
+        # The failed last search also ran from the doubled step, before the decrement.
+        assert events.count(None) == 1 and events[-1] is None
+        assert np.array_equal(groups[-1][0][0], report.final_weights)
+
+
+def with_bias(generated):
+    return Dataset(np.column_stack([generated.features, np.ones(generated.n_samples)]), generated.targets)
+
+
+class TestWorkCounts:
+    """Iteration and stall counts that the Barzilai-Borwein start brought down."""
+
+    def test_auto_bound_restarts_need_few_iterations(self):
+        # Y = max |y| puts the largest target on the bound, where the curvature
+        # vanishes: doubling the step took 33,178 iterations here.
+        generated, _ = generate_synthetic(SynthSpec(20_000, 8, CS11, 0.05, seed=0))
+        dataset = with_bias(generated)
+        transform = ConvexSqrtTransform(1.0, float(np.abs(dataset.targets).max()))
+        reports = multi_restart_fit(dataset, transform, 20)
+        assert sum(r.iterations for r in reports) <= 1000
+        assert [r.termination for r in reports] == ["converged_at_floor"] * 20
+
+    @pytest.mark.filterwarnings("ignore::convexreg.TargetBoundWarning")
+    def test_stalls_over_a_fixed_sweep(self):
+        # Doubling the step stalled 49 of these 480 fits.
+        stalls = 0
+        for seed in range(10):
+            for n, d in ((3000, 6), (5000, 12)):
+                dataset = with_bias(generate_synthetic(SynthSpec(n, d, CS11, 0.05, seed=seed))[0])
+                for transform in (ConvexSqrtTransform(1.0, 3.0), ConvexSqrtTransform(1.0, 2.0), TanhTransform(3.0)):
+                    reports = multi_restart_fit(dataset, transform, 8, SolverConfig(seed=seed))
+                    stalls += sum(r.termination == "line_search_stalled" for r in reports)
+        assert stalls <= 49
