@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .loss import Dataset, DimensionMismatchError, dloss_dz, loss_z, psd_condition_value, _evaluate, _gradient
+from .loss import Dataset, dloss_dz, loss_z, psd_condition_value, _checked_weights, _evaluate, _gradient
 from .transforms import Transform
 
 MIDPOINT_TOL = 1e-9
@@ -55,8 +55,8 @@ class ConvexityReport:
     """Result of one convexity check.
 
     ``worst_violation`` is the most negative slack observed (normalized by
-    the check's own scale); the check passes iff it is >= -tol.  ``witness``
-    is the input tuple achieving it.
+    the check's own scale); the check passes iff it is >= minus the check's
+    fixed ``*_TOL`` constant.  ``witness`` is the input tuple achieving it.
     """
 
     check_name: str
@@ -120,7 +120,7 @@ def midpoint_convexity_check(
     y: float,
     z_range: tuple[float, float],
     n_samples: int,
-    tol: float = MIDPOINT_TOL,
+    *,
     seed: int = 0,
     check_name: str = "midpoint_convexity",
 ) -> ConvexityReport:
@@ -128,12 +128,12 @@ def midpoint_convexity_check(
 
     Draws ``n_samples`` i.i.d. triples (z1, z2, lam) with z1, z2 uniform on
     ``z_range`` and lam uniform on [0, 1]: all z1, then all z2, then all
-    lam from ``default_rng(seed)``.  Slack is normalized by
-    ``1 + max loss in the triple`` so ``tol`` is a dimensionless allowance
-    for rounding.  The triples are drawn and judged in chunks, so memory
-    does not grow with ``n_samples``; contiguous ranges of chunks run on
-    the usable cores, and the report is the same at any core count.
-    Raises NonFiniteCheckError at the first triple with a loss that is not
+    lam from ``default_rng(seed)``.  It passes iff every slack, normalized
+    by ``1 + max loss in the triple``, is >= -``MIDPOINT_TOL`` (1e-9).  The
+    triples are drawn and judged in chunks, so memory does not grow with
+    ``n_samples``; contiguous ranges of chunks run on the usable cores,
+    and the report is the same at any core count.  Raises
+    NonFiniteCheckError at the first triple with a loss that is not
     finite, and ValueError when ``n_samples`` is not a positive integer.
     """
     lo, hi = float(z_range[0]), float(z_range[1])
@@ -147,8 +147,6 @@ def midpoint_convexity_check(
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
 
     state = np.random.default_rng(seed).bit_generator.state
     n_chunks = -(-n_samples // _CHUNK)
@@ -241,7 +239,7 @@ def midpoint_convexity_check(
     worst, witness = min(ranges, key=lambda pair: pair[0])
     return ConvexityReport(
         check_name=check_name,
-        passed=worst >= -tol,
+        passed=worst >= -MIDPOINT_TOL,
         worst_violation=worst,
         witness=witness,
         samples_tested=n_samples,
@@ -252,16 +250,17 @@ def derivative_monotonicity_check(
     transform: Transform,
     y: float,
     z_grid,
-    tol: float = MONOTONICITY_TOL,
+    *,
     check_name: str = "derivative_monotonicity",
 ) -> ConvexityReport:
     """Check that the loss derivative in z never decreases along a grid.
 
     A nondecreasing derivative of a continuously differentiable function
     is equivalent to convexity, so the most negative successive difference
-    of ``dloss_dz`` over the grid is the reported slack.  Raises
-    InvalidGridError for a grid entry that is not finite, and
-    NonFiniteCheckError when a derivative or a difference is not finite.
+    of ``dloss_dz`` over the grid is the reported slack, and it passes iff
+    >= -``MONOTONICITY_TOL`` (1e-9).  Raises InvalidGridError for a grid
+    entry that is not finite, and NonFiniteCheckError when a derivative or
+    a difference is not finite.
     """
     grid = np.asarray(z_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
@@ -270,8 +269,6 @@ def derivative_monotonicity_check(
         raise InvalidGridError("grid entries must be finite")
     if np.any(np.diff(grid) <= 0.0):
         raise InvalidGridError("z_grid must be sorted strictly ascending")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
 
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = np.diff(dloss_dz(transform, grid, y))
@@ -286,7 +283,7 @@ def derivative_monotonicity_check(
     worst = float(diffs[idx])
     return ConvexityReport(
         check_name=check_name,
-        passed=worst >= -tol,
+        passed=worst >= -MONOTONICITY_TOL,
         worst_violation=worst,
         witness=(float(grid[idx]), float(grid[idx + 1])),
         samples_tested=grid.size - 1,
@@ -297,9 +294,8 @@ def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np
     """Central differences of the loss gradient at ``w ± s_i e_i``, one column per i.
 
     Column i is ``(grad L(w + s_i e_i) - grad L(w - s_i e_i)) / h_i`` with
-    ``h_i = (w_i + s_i) - (w_i - s_i)``, the step as it is represented; a
-    step below the ulp of w_i gives 0/0.  Raises NonFiniteHessianError
-    when a loss or an entry is not finite.
+    ``h_i = (w_i + s_i) - (w_i - s_i)``, the step as it is represented.
+    Raises NonFiniteHessianError when a loss or an entry is not finite.
     """
     d = w.size
     losses = np.empty(2 * d)
@@ -323,7 +319,7 @@ def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np
         i, j = np.argwhere(~np.isfinite(hessian))[0]
         raise NonFiniteHessianError(
             f"finite-difference Hessian entry ({i}, {j}) is {float(hessian[i, j])!r}: "
-            "the gradients are too large, or the steps too small, to difference"
+            "the gradients are too large to difference"
         )
     return hessian
 
@@ -332,43 +328,30 @@ def fd_hessian_psd_check(
     dataset: Dataset,
     transform: Transform,
     w,
-    fd_step: float = HESSIAN_STEP,
-    tol: float = HESSIAN_TOL,
+    *,
     check_name: str = "fd_hessian_psd",
 ) -> ConvexityReport:
     """Finite-difference Hessian of the total loss at w, tested for PSD.
 
     Central differences of the loss gradient with per-coordinate step
-    ``fd_step * (1 + |w_i|)`` build the matrix from 2d gradient passes; it
-    is symmetrized as (H + H^T)/2 and its minimum eigenvalue, normalized
-    by ``1 + max |H entry|``, is the reported slack.  The witness pairs w
-    with the offending eigenvector.  Raises ValueError for a ``w`` that
-    is not finite, and NonFiniteHessianError when a loss or an entry is
-    not finite.
+    ``HESSIAN_STEP * (1 + |w_i|)`` build the matrix from 2d gradient
+    passes; it is symmetrized as (H + H^T)/2 and its minimum eigenvalue,
+    normalized by ``1 + max |H entry|``, is the slack, passing iff >=
+    -``HESSIAN_TOL``.  The witness pairs w with the offending eigenvector.
+    Raises ValueError for a ``w`` that is not finite or of the wrong length,
+    and NonFiniteHessianError when a loss or an entry is not finite.
     """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size != dataset.n_features:
-        raise DimensionMismatchError(
-            f"w has {w.size} entries but the dataset has {dataset.n_features} features"
-        )
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w must be finite")
-    if not fd_step > 0.0:
-        raise ValueError("fd_step must be positive")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-
-    steps = fd_step * (1.0 + np.abs(w))
+    w = _checked_weights(dataset, w, "w")
+    steps = HESSIAN_STEP * (1.0 + np.abs(w))
     hessian = _fd_hessian(dataset, transform, w, steps)
-    symmetric = 0.5 * (hessian + hessian.T)
-    eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (hessian + hessian.T))
     scale = 1.0 + float(np.abs(hessian).max())
     worst = float(eigenvalues[0]) / scale
     return ConvexityReport(
         check_name=check_name,
-        passed=worst >= -tol,
+        passed=worst >= -HESSIAN_TOL,
         worst_violation=worst,
-        witness=(w.copy(), eigenvectors[:, 0].copy()),
+        witness=(w, eigenvectors[:, 0].copy()),
         samples_tested=w.size * w.size,
     )
 

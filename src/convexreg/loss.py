@@ -184,6 +184,17 @@ def _check_dims(model: Model, dataset: Dataset) -> None:
         )
 
 
+def _checked_weights(dataset: Dataset, w, name: str) -> np.ndarray:
+    w = np.array(w, dtype=float)
+    if w.ndim != 1 or w.size != dataset.n_features:
+        raise DimensionMismatchError(
+            f"{name} has {w.size} entries but the dataset has {dataset.n_features} features"
+        )
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} must be finite")
+    return w
+
+
 def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.ndarray, float]:
     """Linear response ``z = X w``, residual ``g(z) - y`` and the summed squared loss.
 

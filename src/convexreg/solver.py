@@ -14,7 +14,7 @@ import numpy as np
 
 from .loss import (
     Dataset,
-    DimensionMismatchError,
+    _checked_weights,
     _evaluate,
     _frozen,
     _gradient,
@@ -135,13 +135,7 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     """
     if config is None:
         config = SolverConfig()
-    w = np.array(w0, dtype=float)
-    if w.ndim != 1 or w.size != dataset.n_features:
-        raise DimensionMismatchError(
-            f"w0 has {w.size} entries but the dataset has {dataset.n_features} features"
-        )
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w0 must be finite")
+    w = _checked_weights(dataset, w0, "w0")
     _warn_if_outside_bound(transform, dataset.targets)
     return _descend(dataset, transform, w, config)
 

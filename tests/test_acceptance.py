@@ -68,9 +68,7 @@ def test_01_midpoint_convexity_sweep():
     all_passed = True
     for index, (alpha, y_bound, y) in enumerate(sweep_configs(rng, 1000)):
         transform = ConvexSqrtTransform(alpha, y_bound)
-        report = midpoint_convexity_check(
-            transform, y, (-100.0, 100.0), 10**4, tol=1e-9, seed=index
-        )
+        report = midpoint_convexity_check(transform, y, (-100.0, 100.0), 10**4, seed=index)
         worst = min(worst, report.worst_violation)
         all_passed = all_passed and report.passed
     elapsed = time.perf_counter() - started
@@ -90,7 +88,7 @@ def test_02_derivative_monotonicity_and_closed_form():
     all_ok = True
     for alpha, y_bound, y in sweep_configs(rng, 1000):
         transform = ConvexSqrtTransform(alpha, y_bound)
-        report = derivative_monotonicity_check(transform, y, grid, tol=1e-9)
+        report = derivative_monotonicity_check(transform, y, grid)
         worst_diff = min(worst_diff, report.worst_violation)
         analytic = dloss_dz(transform, grid, y)
         closed = closed_form_dloss(alpha, y_bound, grid, y)
@@ -119,9 +117,7 @@ def test_03_hessian_psd_lift():
         targets = np.clip(rng.uniform(-1.5 * y_bound, 1.5 * y_bound, n), -y_bound, y_bound)
         dataset = Dataset(features, targets)
         for _ in range(5):
-            report = fd_hessian_psd_check(
-                dataset, transform, rng.uniform(-1, 1, d), fd_step=1e-5, tol=1e-5
-            )
+            report = fd_hessian_psd_check(dataset, transform, rng.uniform(-1, 1, d))
             worst = min(worst, report.worst_violation)
             all_ok = all_ok and report.passed
     announce(
@@ -273,7 +269,7 @@ def test_09_target_bound_hypothesis_is_load_bearing():
         y_bound = rng.uniform(0.1, 10.0)
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
         transform = ConvexSqrtTransform(alpha, y_bound)
-        report = derivative_monotonicity_check(transform, sign * 1.5 * y_bound, grid, tol=1e-9)
+        report = derivative_monotonicity_check(transform, sign * 1.5 * y_bound, grid)
         failures += int(not report.passed)
         smallest = min(smallest, -report.worst_violation)
     announce(

@@ -1,5 +1,6 @@
 """The package's public names and settable fields: a removal or addition has to change these lists."""
 
+import inspect
 import subprocess
 import sys
 from dataclasses import fields
@@ -53,6 +54,33 @@ PUBLIC_API = [
 ]
 
 
+# Each public function's parameters by name and kind ("*" opens the keyword-only ones).
+PUBLIC_SIGNATURES = {
+    "convexity_target_bound": "(transform)",
+    "derivative_monotonicity_check": "(transform, y, z_grid, *, check_name)",
+    "dloss_dz": "(transform, z, y)",
+    "estimate_target_bound": "(dataset)",
+    "fd_hessian_psd_check": "(dataset, transform, w, *, check_name)",
+    "find_nonconvex_witness": "(transform, z_grid, y_grid)",
+    "gd_fit": "(dataset, transform, w0, config)",
+    "generate_synthetic": "(spec)",
+    "graded_grid": "(half_width, n_points)",
+    "load_csv": "(spec)",
+    "load_feature_csv": "(path, has_header)",
+    "loss_z": "(transform, z, y)",
+    "midpoint_convexity_check": "(transform, y, z_range, n_samples, *, seed, check_name)",
+    "multi_restart_fit": "(dataset, transform, restarts, config)",
+    "ols_fit": "(dataset)",
+    "psd_condition_value": "(transform, z, y)",
+    "total_gradient": "(model, dataset)",
+    "total_loss": "(model, dataset)",
+    "transform_from_dict": "(payload)",
+    "transform_to_dict": "(transform)",
+    "verification_battery": "(transform, y_bound, n_samples, seed)",
+    "write_csv": "(dataset, path)",
+}
+
+
 def test_all_is_the_recorded_public_api():
     assert len(set(convexreg.__all__)) == len(convexreg.__all__)
     for name in convexreg.__all__:
@@ -65,6 +93,17 @@ def test_solver_and_synth_settings_are_the_recorded_fields():
     assert [f.name for f in fields(convexreg.SynthSpec)] == [
         "n_samples", "n_features", "transform", "noise_std", "seed",
     ]
+
+
+def test_public_functions_have_the_recorded_parameters():
+    recorded = {}
+    for name in convexreg.__all__:
+        function = getattr(convexreg, name)
+        if inspect.isfunction(function):
+            signature = inspect.signature(function)
+            bare = [p.replace(default=p.empty, annotation=p.empty) for p in signature.parameters.values()]
+            recorded[name] = str(signature.replace(parameters=bare, return_annotation=signature.empty))
+    assert recorded == PUBLIC_SIGNATURES
 
 
 def test_import_leaves_the_thread_pool_unloaded():

@@ -447,12 +447,23 @@ class TestBadInput:
              "line 4, column 2: cell 'abc' is not a number"),
             ({"d.csv": "x,y\n1,2\n1,abc\n"}, ["fit", "--data", "d.csv"],
              "error: d.csv: line 3, column 2: cell 'abc' is not a number\n"),
+            ({}, ["compare", "--data", "absent.csv"], "absent.csv"),
+            ({"d.csv": "a,t\n1,2\n1\n"}, ["compare", "--data", "d.csv"],
+             "error: d.csv: line 3: expected 2 fields, found 1\n"),
+            ({"d.csv": "1,2\n3,4\n"}, ["fit", "--data", "d.csv", "--no-header", "--target-column", "t"],
+             "error: target column 't' requested but the file has no header\n"),
+            ({"d.csv": "t\n1\n2\n"}, ["fit", "--data", "d.csv", "--no-bias"],
+             "error: d.csv: no feature columns remain after removing the target\n"),
+            # Python 3.10's csv rejects the NUL byte (csv.Error); later versions pass
+            # the cell to float(), which rejects it.  Either way the error names line 3.
+            ({"d.csv": "a,t\n1,2\n1\x00,3\n"}, ["fit", "--data", "d.csv"], "d.csv: line 3"),
         ],
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
              "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
              "model-transform-null", "model-transform-string",
              "verify-alpha-huge", "verify-alpha-curvature-overflow", "synth-noise-huge", "fit-alpha-huge", "oversized-field",
-             "long-field-then-bad-cell", "bad-cell-names-file"],
+             "long-field-then-bad-cell", "bad-cell-names-file", "compare-missing-file",
+             "compare-ragged-row", "target-name-without-header", "target-only-without-bias", "nul-byte"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):
         for name, content in files.items():
@@ -463,6 +474,7 @@ class TestBadInput:
         assert out == ""
         assert message in err
         assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_overflowing_loss_prints_only_the_error(self, tmp_path, command):

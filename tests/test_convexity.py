@@ -105,8 +105,6 @@ class TestMidpointCheck:
             midpoint_convexity_check(CS11, 0.0, (1.0, 1.0), 10)
         with pytest.raises(ValueError):
             midpoint_convexity_check(CS11, 0.0, (0.0, 1.0), 0)
-        with pytest.raises(ValueError):
-            midpoint_convexity_check(CS11, 0.0, (0.0, 1.0), 10, tol=0.0)
 
     @pytest.mark.parametrize(
         "z_range", [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)], ids=["low-inf", "high-inf", "inf-width"]
@@ -591,14 +589,22 @@ class TestHessianCheck:
         # The input is at fault, not the loss: no finite-difference point is evaluated.
         rng = np.random.default_rng(404)
         dataset = Dataset(rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, 10))
-        with pytest.raises(ValueError, match="w must be finite"):
+        with pytest.raises(ValueError, match="^w must be finite$"):
             fd_hessian_psd_check(dataset, CS11, np.array([bad, 0.0, 0.0]))
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(405)
         dataset = Dataset(rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, 10))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="^w has 2 entries but the dataset has 3 features$"):
             fd_hessian_psd_check(dataset, CS11, np.zeros(2))
+
+    def test_witness_holds_a_copy_of_w(self):
+        rng = np.random.default_rng(406)
+        dataset = Dataset(rng.uniform(-1, 1, (10, 3)), rng.uniform(-1, 1, 10))
+        w = np.array([0.1, -0.2, 0.3])
+        report = fd_hessian_psd_check(dataset, CS11, w)
+        w[0] = 9.0
+        assert report.witness[0].tolist() == [0.1, -0.2, 0.3]
 
 
 def per_point_fd_hessian(dataset, transform, w, steps):
@@ -706,10 +712,10 @@ class TestGradientDifferences:
         assert issubclass(NonFiniteHessianError, NonFiniteCheckError)
 
     def test_non_finite_entry_raises(self):
-        # The steps square to zero: finite losses, 0/0 entries.
-        dataset = Dataset(np.array([[1.0, 0.5], [2.0, -1.0]]), np.array([0.3, -0.2]))
+        # Losses near 1e300 are finite, but the slopes 2 r a overflow: inf - inf entries.
+        dataset = Dataset(np.array([[1e-10, 0.5e-10], [2e-10, -1e-10]]), np.array([0.3, -0.2]))
         with pytest.raises(NonFiniteHessianError, match=r"entry \(0, 0\) is nan"):
-            fd_hessian_psd_check(dataset, CS11, np.array([0.5, 1.0]), fd_step=1e-300)
+            fd_hessian_psd_check(dataset, AffineTransform(1e160, 0.0), np.array([0.5, 1.0]))
 
 
 class TestWitnessSearch:
@@ -728,6 +734,11 @@ class TestWitnessSearch:
 
     def test_affine_has_no_witness(self):
         assert find_nonconvex_witness(AFF, np.linspace(-3, 3, 61), np.linspace(-1, 1, 21)) is None
+
+    @pytest.mark.parametrize("z_grid, y_grid", [([0.0, -1.0], [0.0]), ([0.0], [1.0, 0.5])], ids=["z", "y"])
+    def test_unsorted_grid_rejected(self, z_grid, y_grid):
+        with pytest.raises(InvalidGridError, match="grids must be sorted ascending"):
+            find_nonconvex_witness(CS11, z_grid, y_grid)
 
     # derivative_monotonicity refutes several of these in-bound settings
     # (alpha = 1e12, Y = 1e6): its absolute tolerance reads rounding of
@@ -893,6 +904,11 @@ class TestVerificationBattery:
         b = verification_battery(ConvexSqrtTransform(2.0, 1.5), 1.5, 2000, seed=11)
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
+    @pytest.mark.parametrize("y_bound", [0.0, -1.0, np.nan])
+    def test_y_bound_must_be_positive(self, y_bound):
+        with pytest.raises(ValueError, match="y_bound must be positive"):
+            verification_battery(CS11, y_bound, 100)
+
     def test_numpy_integer_sample_count(self):
         a = verification_battery(CS11, 1.0, np.int64(2000), seed=4)
         b = verification_battery(CS11, 1.0, 2000, seed=4)
@@ -916,3 +932,6 @@ class TestReportRendering:
             Dataset(np.array([[1.0]]), np.array([-1.0])), TANH1, np.array([1.0])
         )
         json.dumps(report.to_dict())
+        # A witness may hold numpy scalars; they come out as plain numbers.
+        report = ConvexityReport("probe", False, -1.0, (np.int64(3), np.float64(0.5)), 4)
+        assert json.loads(json.dumps(report.to_dict()))["witness"] == [3, 0.5]

@@ -450,6 +450,10 @@ class TestDataTypes:
             Dataset(np.array([[1.0], [2.0]]), np.array([1.0]))
         with pytest.raises(ValueError):
             Dataset(np.empty((0, 1)), np.empty(0))
+        with pytest.raises(ValueError, match="features must be a 2-D matrix"):
+            Dataset(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="targets must be a 1-D vector"):
+            Dataset(np.array([[1.0], [2.0]]), np.array([[1.0], [2.0]]))
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

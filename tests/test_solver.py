@@ -107,12 +107,12 @@ class TestGdFit:
 
     def test_dimension_mismatch(self):
         dataset, _ = make_realizable(seed=306)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="^w0 has 4 entries but the dataset has 3 features$"):
             gd_fit(dataset, CS11, np.zeros(4))
 
     def test_nonfinite_start_rejected(self):
         dataset, _ = make_realizable(seed=307)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^w0 must be finite$"):
             gd_fit(dataset, CS11, np.array([np.nan, 0.0, 0.0]))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -87,6 +87,9 @@ class TestConvexSqrtEvaluate:
                 ConvexSqrtTransform(alpha, y_bound)
         with pytest.raises(ValueError):
             TanhTransform(0.0)
+        for a, b in [(np.nan, 0.0), (np.inf, 0.0), (1.0, -np.inf), (1.0, np.nan)]:
+            with pytest.raises(ValueError, match="affine coefficients must be finite"):
+                AffineTransform(a, b)
 
 
 class TestDerivative:
