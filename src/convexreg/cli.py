@@ -162,12 +162,6 @@ def _load_model(path: str) -> Model:
     return Model(np.asarray(payload["weights"], dtype=float), transform_from_dict(payload["transform"]))
 
 
-def _bound_warnings(transform: Transform, targets: np.ndarray) -> list[str]:
-    """The report's ``warnings`` list: the target-bound message, if any target exceeds it."""
-    message = _bound_violation(transform, targets)
-    return [] if message is None else [message]
-
-
 def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="CSV file with features and a target column")
     parser.add_argument(
@@ -193,7 +187,7 @@ def _cmd_fit(args) -> int:
         y_bound = estimate_target_bound(dataset)
     transform = _build_transform(args.transform, args.alpha, y_bound)
 
-    run_warnings = _bound_warnings(transform, dataset.targets)
+    run_warnings = _bound_violation(transform, dataset.targets)
 
     config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
     with warnings.catch_warnings():
@@ -336,7 +330,7 @@ def _cmd_synth(args) -> int:
     results = {
         "csv_file": args.out,
         "weights_file": weights_file,
-        "warnings": _bound_warnings(transform, dataset.targets),
+        "warnings": _bound_violation(transform, dataset.targets),
     }
     _emit_report(args, results, started)
     return EXIT_OK

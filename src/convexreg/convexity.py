@@ -8,7 +8,6 @@ independently.
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .loss import Dataset, dloss_dz, loss_z, psd_condition_value, _checked_weights, _evaluate, _gradient
-from .transforms import Transform
+from .transforms import Transform, _count, _finite_positive
 
 MIDPOINT_TOL = 1e-9
 MONOTONICITY_TOL = 1e-9
@@ -56,7 +55,8 @@ class ConvexityReport:
 
     ``worst_violation`` is the most negative slack observed (normalized by
     the check's own scale); the check passes iff it is >= minus the check's
-    fixed ``*_TOL`` constant.  ``witness`` is the input tuple achieving it.
+    fixed ``*_TOL`` constant (0 for the witness search).  ``witness`` is
+    the input tuple achieving it.  Each check below builds its own.
     """
 
     check_name: str
@@ -104,12 +104,11 @@ def graded_grid(half_width: float, n_points: int) -> np.ndarray:
 
     Log-spaced magnitudes (8 decades) plus the origin, mirrored to negative
     values, so behavior around the kink at z = 0 is probed closely.
-    ``half_width`` must be finite and positive, ``n_points`` odd and >= 3.
+    ``half_width`` must be finite and positive, ``n_points`` an odd integer >= 3.
     """
-    if not 0.0 < half_width < np.inf:
-        raise ValueError("half_width must be finite and positive")
-    if n_points < 3 or n_points % 2 == 0:
-        raise ValueError("n_points must be an odd integer >= 3")
+    half_width = _finite_positive(half_width, "half_width")
+    if _count(n_points, "n_points", 3) % 2 == 0:
+        raise ValueError(f"n_points must be odd, got {n_points!r}")
     half = (n_points - 1) // 2
     magnitudes = np.geomspace(half_width * 1e-8, half_width, half)
     return np.concatenate([-magnitudes[::-1], [0.0], magnitudes])
@@ -134,19 +133,14 @@ def midpoint_convexity_check(
     ``n_samples``; contiguous ranges of chunks run on the usable cores,
     and the report is the same at any core count.  Raises
     NonFiniteCheckError at the first triple with a loss that is not
-    finite, and ValueError when ``n_samples`` is not a positive integer.
+    finite, and ValueError when ``n_samples`` is not an integer >= 1.
     """
     lo, hi = float(z_range[0]), float(z_range[1])
     # The width bounds the draws: uniform(lo, hi) needs hi - lo finite.
     if not (lo < hi and np.isfinite(hi - lo)):
         raise ValueError("z_range must be a nondegenerate (low, high) pair with finite ends and width")
-    try:
-        # A Python int: PCG64.advance overflows on numpy integer offsets.
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}") from None
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    # A Python int: PCG64.advance overflows on numpy integer offsets.
+    n_samples = _count(n_samples, "n_samples", 1)
 
     state = np.random.default_rng(seed).bit_generator.state
     n_chunks = -(-n_samples // _CHUNK)
@@ -290,13 +284,15 @@ def derivative_monotonicity_check(
     )
 
 
-def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray) -> np.ndarray:
     """Central differences of the loss gradient at ``w ± s_i e_i``, one column per i.
 
-    Column i is ``(grad L(w + s_i e_i) - grad L(w - s_i e_i)) / h_i`` with
+    The step is ``s_i = HESSIAN_STEP * (1 + |w_i|)``.  Column i is
+    ``(grad L(w + s_i e_i) - grad L(w - s_i e_i)) / h_i`` with
     ``h_i = (w_i + s_i) - (w_i - s_i)``, the step as it is represented.
     Raises NonFiniteHessianError when a loss or an entry is not finite.
     """
+    steps = HESSIAN_STEP * (1.0 + np.abs(w))
     d = w.size
     losses = np.empty(2 * d)
     hessian = np.empty((d, d))
@@ -342,8 +338,7 @@ def fd_hessian_psd_check(
     and NonFiniteHessianError when a loss or an entry is not finite.
     """
     w = _checked_weights(dataset, w, "w")
-    steps = HESSIAN_STEP * (1.0 + np.abs(w))
-    hessian = _fd_hessian(dataset, transform, w, steps)
+    hessian = _fd_hessian(dataset, transform, w)
     eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (hessian + hessian.T))
     scale = 1.0 + float(np.abs(hessian).max())
     worst = float(eigenvalues[0]) / scale
@@ -356,11 +351,13 @@ def fd_hessian_psd_check(
     )
 
 
-def find_nonconvex_witness(transform: Transform, z_grid, y_grid):
+def find_nonconvex_witness(transform: Transform, z_grid, y_grid) -> ConvexityReport:
     """Grid-search the pointwise loss curvature for a negative value.
 
-    Returns the (z, y, value) minimizing :func:`psd_condition_value` when
-    that minimum is negative, else None.  Covers every transform.  For
+    The report, ``nonconvex_witness_search``, fails when the minimum of
+    :func:`psd_condition_value` over the grid is negative: its slack is
+    that minimum and its witness the (z, y) giving it.  A pass has slack
+    exactly 0.0 and witness None.  Covers every transform.  For
     convex-sqrt the curvature is in closed form and its sign is exact: no
     value is negative while every |y| <= Y, and y = -Y (z > 0) or y = Y
     (z < 0) gives exactly 0.0.  Raises InvalidGridError for a grid entry
@@ -387,12 +384,16 @@ def find_nonconvex_witness(transform: Transform, z_grid, y_grid):
             f"(first: {float(values[i, j])!r} at "
             f"(z, y) = ({float(z_grid[i])!r}, {float(y_grid[j])!r}))"
         )
-    flat_idx = int(np.argmin(values))
-    i, j = np.unravel_index(flat_idx, values.shape)
+    i, j = np.unravel_index(int(np.argmin(values)), values.shape)
     minimum = float(values[i, j])
-    if minimum >= 0.0:
-        return None
-    return (float(z_grid[i]), float(y_grid[j]), minimum)
+    passed = minimum >= 0.0
+    return ConvexityReport(
+        check_name="nonconvex_witness_search",
+        passed=passed,
+        worst_violation=0.0 if passed else minimum,
+        witness=None if passed else (float(z_grid[i]), float(y_grid[j])),
+        samples_tested=values.size,
+    )
 
 
 def verification_battery(
@@ -410,8 +411,7 @@ def verification_battery(
     convex-sqrt).  Deterministic for a given seed.  Raises
     NonFiniteCheckError when any check meets a value that is not finite.
     """
-    if not y_bound > 0.0:
-        raise ValueError("y_bound must be positive")
+    y_bound = _finite_positive(y_bound, "y_bound")
     reports: list[ConvexityReport] = []
     y_values = [-y_bound, -0.5 * y_bound, 0.0, 0.5 * y_bound, y_bound]
 
@@ -444,16 +444,6 @@ def verification_battery(
             fd_hessian_psd_check(dataset, transform, w, check_name=f"fd_hessian_psd(w_draw={draw})")
         )
 
-    z_grid = np.linspace(-3.0, 3.0, 61)
-    y_grid = np.linspace(-y_bound, y_bound, 21)
-    witness = find_nonconvex_witness(transform, z_grid, y_grid)
-    reports.append(
-        ConvexityReport(
-            check_name="nonconvex_witness_search",
-            passed=witness is None,
-            worst_violation=0.0 if witness is None else witness[2],
-            witness=None if witness is None else (witness[0], witness[1]),
-            samples_tested=z_grid.size * y_grid.size,
-        )
-    )
+    z_grid, y_grid = np.linspace(-3.0, 3.0, 61), np.linspace(-y_bound, y_bound, 21)
+    reports.append(find_nonconvex_witness(transform, z_grid, y_grid))
     return reports

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .loss import Dataset, _response
-from .transforms import Transform
+from .transforms import Transform, _count
 
 
 class CsvParseError(ValueError):
@@ -295,17 +295,15 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
     generating transform and weights: the model with those weights
     predicts every target exactly.
     """
-    if spec.n_samples < 1:
-        raise ValueError("n_samples must be a positive integer")
-    if spec.n_features < 1:
-        raise ValueError("n_features must be a positive integer")
+    n_samples = _count(spec.n_samples, "n_samples", 1)
+    n_features = _count(spec.n_features, "n_features", 1)
     if not spec.noise_std >= 0.0:
         raise ValueError("noise_std must be nonnegative")
 
     rng = np.random.default_rng(spec.seed)
-    weights = rng.uniform(-1.0, 1.0, spec.n_features)
-    features = np.asfortranarray(rng.uniform(-1.0, 1.0, (spec.n_samples, spec.n_features)))
-    noise = rng.normal(0.0, spec.noise_std, spec.n_samples) if spec.noise_std > 0 else 0.0
+    weights = rng.uniform(-1.0, 1.0, n_features)
+    features = np.asfortranarray(rng.uniform(-1.0, 1.0, (n_samples, n_features)))
+    noise = rng.normal(0.0, spec.noise_std, n_samples) if spec.noise_std > 0 else 0.0
     targets = spec.transform.evaluate(_response(features, weights) + noise)
     return Dataset(features, np.asarray(targets, dtype=float)), weights
 

@@ -97,10 +97,11 @@ class Model:
         response a fit computes on a :class:`Dataset` of the same rows.
         """
         features = np.asarray(features, dtype=float)
-        if features.ndim != 2 or features.shape[1] != self.weights.size:
+        if features.ndim != 2:
+            raise DimensionMismatchError(f"features must be a 2-D matrix, got shape {features.shape}")
+        if features.shape[1] != self.weights.size:
             raise DimensionMismatchError(
-                f"model has {self.weights.size} weights but features have "
-                f"{features.shape[-1] if features.ndim else 0} columns"
+                f"model has {self.weights.size} weights but features have {features.shape[1]} columns"
             )
         return self.transform.evaluate(_response(features, self.weights))
 
@@ -159,32 +160,24 @@ def convexity_target_bound(transform: Transform) -> float | None:
     return None
 
 
-def _bound_violation(transform: Transform, targets: np.ndarray) -> str | None:
-    """Message naming how many targets exceed the convexity bound, or None."""
+def _bound_violation(transform: Transform, targets: np.ndarray) -> list[str]:
+    """A report's ``warnings`` list: one message counting the targets beyond the convexity bound, or none."""
     bound = convexity_target_bound(transform)
     if bound is None or not np.isfinite(bound):
-        return None
+        return []
     n_outside = int(np.count_nonzero(np.abs(targets) > bound))
     if not n_outside:
-        return None
-    return f"{n_outside} target(s) exceed the bound {bound:g}; the convexity guarantee does not apply"
+        return []
+    return [f"{n_outside} target(s) exceed the bound {bound:g}; the convexity guarantee does not apply"]
 
 
 def _warn_if_outside_bound(transform: Transform, targets: np.ndarray) -> None:
-    message = _bound_violation(transform, targets)
-    if message is not None:
+    for message in _bound_violation(transform, targets):
         warnings.warn(message, TargetBoundWarning, stacklevel=3)
 
 
-def _check_dims(model: Model, dataset: Dataset) -> None:
-    if model.weights.size != dataset.n_features:
-        raise DimensionMismatchError(
-            f"model has {model.weights.size} weights but the dataset has "
-            f"{dataset.n_features} features"
-        )
-
-
 def _checked_weights(dataset: Dataset, w, name: str) -> np.ndarray:
+    """A finite 1-D float copy of ``w`` with one entry per feature of ``dataset``."""
     w = np.array(w, dtype=float)
     if w.ndim != 1 or w.size != dataset.n_features:
         raise DimensionMismatchError(
@@ -224,16 +217,16 @@ def _gradient(features, transform, z, residual) -> np.ndarray:
 
 def total_loss(model: Model, dataset: Dataset) -> float:
     """Cumulative squared loss over the dataset."""
-    _check_dims(model, dataset)
+    weights = _checked_weights(dataset, model.weights, "the model's weight vector")
     _warn_if_outside_bound(model.transform, dataset.targets)
-    return _evaluate(dataset.features, dataset.targets, model.transform, model.weights)[2]
+    return _evaluate(dataset.features, dataset.targets, model.transform, weights)[2]
 
 
 def total_gradient(model: Model, dataset: Dataset) -> np.ndarray:
     """Gradient of :func:`total_loss` in the weights."""
-    _check_dims(model, dataset)
+    weights = _checked_weights(dataset, model.weights, "the model's weight vector")
     _warn_if_outside_bound(model.transform, dataset.targets)
-    z, residual, _ = _evaluate(dataset.features, dataset.targets, model.transform, model.weights)
+    z, residual, _ = _evaluate(dataset.features, dataset.targets, model.transform, weights)
     return _gradient(dataset.features, model.transform, z, residual)
 
 

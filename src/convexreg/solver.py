@@ -21,7 +21,7 @@ from .loss import (
     _hessian,
     _warn_if_outside_bound,
 )
-from .transforms import Transform
+from .transforms import Transform, _count, _finite_positive
 
 _MIN_STEP = 1e-16
 # A trial whose first-order decrease step * ||g||^2 is below _EPS * loss
@@ -68,10 +68,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be a positive integer")
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
+        object.__setattr__(self, "max_iters", _count(self.max_iters, "max_iters", 1))
+        object.__setattr__(self, "grad_tol", _finite_positive(self.grad_tol, "grad_tol"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,8 +312,7 @@ def multi_restart_fit(
     """
     if config is None:
         config = SolverConfig()
-    if restarts < 2:
-        raise ValueError("restarts must be at least 2")
+    restarts = _count(restarts, "restarts", 2)
     radius = 10.0 / (1.0 + float(np.linalg.norm(dataset.features, axis=0).max()))
     # Warned once here; each restart descends without repeating it.
     _warn_if_outside_bound(transform, dataset.targets)

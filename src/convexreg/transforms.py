@@ -15,6 +15,7 @@ curvature in closed form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass, fields
 from typing import Union
 
@@ -22,10 +23,22 @@ import numpy as np
 
 
 def _finite_positive(value: float, name: str) -> float:
+    """``value`` as a float; the one gate for a finite positive number."""
     value = float(value)
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     return value
+
+
+def _count(value, name: str, low: int) -> int:
+    """``value`` as an int; the one gate for an integer >= ``low`` (numpy integers pass, 5.0 does not)."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)

@@ -185,12 +185,12 @@ def test_05_global_optimum_consistency_and_nonconvex_witness():
     tanh = TanhTransform(scale)
     adversarial_targets = np.array([1.5 * scale, -1.5 * scale] * 8)
     Dataset(np.ones((16, 1)), adversarial_targets)  # the crafted dataset loads fine
-    witness = find_nonconvex_witness(
+    search = find_nonconvex_witness(
         tanh,
         np.linspace(-3.0, 3.0, 61),
         np.linspace(-1.5 * scale, 1.5 * scale, 31),
     )
-    witness_ok = witness is not None and witness[2] <= -1.5
+    witness_ok = not search.passed and search.worst_violation <= -1.5
     reference = psd_condition_value(tanh, 1.0, -1.0)
     reference_ok = abs(reference - (-1.9010266976697454)) <= 1e-9
     h = 1e-5
@@ -202,7 +202,8 @@ def test_05_global_optimum_consistency_and_nonconvex_witness():
         5,
         "restart consistency (convex) + curvature witness (tanh)",
         all_ok and witness_ok and reference_ok,
-        f"worst spread {worst_spread:.3g}; witness value {witness[2]:.3f} at z={witness[0]:.2f}, y={witness[1]:.2f}",
+        f"worst spread {worst_spread:.3g}; witness value {search.worst_violation:.3f} "
+        f"at z={search.witness[0]:.2f}, y={search.witness[1]:.2f}",
     )
 
 

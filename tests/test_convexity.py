@@ -36,7 +36,7 @@ from convexreg import (
     total_loss,
     verification_battery,
 )
-from convexreg.convexity import _CHUNK, _fd_hessian, _usable_cores
+from convexreg.convexity import _CHUNK, HESSIAN_STEP, _fd_hessian, _usable_cores
 from convexreg.loss import _evaluate, _hessian
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
@@ -71,11 +71,13 @@ class TestGradedGrid:
             graded_grid(0.0, 2001)
         with pytest.raises(ValueError):
             graded_grid(50.0, 1)
+        with pytest.raises(ValueError, match=r"^n_points must be an integer >= 3, got 2001.0$"):
+            graded_grid(50.0, 2001.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("half_width", [np.inf, np.nan])
     def test_non_finite_half_width_rejected(self, half_width):
-        with pytest.raises(ValueError, match="half_width must be finite and positive"):
+        with pytest.raises(ValueError, match="half_width must be a finite positive number"):
             graded_grid(half_width, 5)
 
 
@@ -487,7 +489,10 @@ class TestChunkedMidpoint:
         pin_cores(2)
         peak = midpoint_peak_bytes
         peak(10**6)
-        small, large = peak(10**6), peak(2 * 10**6)
+        # Two ranges that share one CPU peak together only when the scheduler
+        # pauses one at its own peak, so one call's peak varies by a chunk
+        # array or two; the largest of five calls catches the joint peak.
+        small, large = (max(peak(n) for _ in range(5)) for n in (10**6, 2 * 10**6))
         assert small < 8 * 2**20 and large < 8 * 2**20
         assert abs(large - small) < _CHUNK * 8  # less than one chunk array
 
@@ -560,8 +565,7 @@ class TestHessianCheck:
         w = rng.uniform(-1, 1, 3)
         report = fd_hessian_psd_check(dataset, AFF, w)
         assert report.passed
-        steps = 1e-5 * (1.0 + np.abs(w))
-        hessian = _fd_hessian(dataset, AFF, w, steps)
+        hessian = _fd_hessian(dataset, AFF, w)
         # quadratic objective: exact up to finite-difference cancellation noise
         np.testing.assert_allclose(hessian, 2.0 * features.T @ features, atol=1e-4)
 
@@ -579,8 +583,7 @@ class TestHessianCheck:
         rng = np.random.default_rng(403)
         dataset = Dataset(rng.uniform(-1, 1, (25, 4)), rng.uniform(-1, 1, 25))
         w = rng.uniform(-1, 1, 4)
-        steps = 1e-5 * (1.0 + np.abs(w))
-        hessian = _fd_hessian(dataset, ConvexSqrtTransform(1.0, 1.0), w, steps)
+        hessian = _fd_hessian(dataset, ConvexSqrtTransform(1.0, 1.0), w)
         asymmetry = np.abs(hessian - hessian.T).max()
         assert asymmetry <= 100.0 * 1e-5 * (1.0 + np.abs(hessian).max())
 
@@ -637,7 +640,7 @@ def per_point_fd_hessian(dataset, transform, w, steps):
 def hessian_problem(n, d, seed):
     generated, weights = generate_synthetic(SynthSpec(n, d, CS11, 0.05, seed=seed))
     w = weights + np.random.default_rng(seed).uniform(-0.5, 0.5, d)
-    return generated, w, 1e-5 * (1.0 + np.abs(w))
+    return generated, w, HESSIAN_STEP * (1.0 + np.abs(w))
 
 
 # Prints the bytes of the FD Hessian at 2,621 x 20, a sample count that is
@@ -648,7 +651,7 @@ _FD_PROBE = textwrap.dedent(
     from convexreg.convexity import _fd_hessian
 
     generated, w = generate_synthetic(SynthSpec(2621, 20, ConvexSqrtTransform(1.0, 1.0), 0.05, seed=9))
-    print(_fd_hessian(generated, ConvexSqrtTransform(1.0, 3.0), w, 1e-5 * (1.0 + abs(w))).tobytes().hex())
+    print(_fd_hessian(generated, ConvexSqrtTransform(1.0, 3.0), w).tobytes().hex())
     """
 )
 
@@ -661,7 +664,7 @@ class TestGradientDifferences:
     @pytest.mark.parametrize("transform", TRANSFORMS, ids=repr)
     def test_matches_per_point_reference(self, transform):
         dataset, w, steps = hessian_problem(500, 6, seed=31)
-        hessian = _fd_hessian(dataset, transform, w, steps)
+        hessian = _fd_hessian(dataset, transform, w)
         reference, largest_loss = per_point_fd_hessian(dataset, transform, w, steps)
         # Each of the oracle's four losses in an entry carries a few ulps of
         # the largest loss; the gradient differences are far more exact.
@@ -672,8 +675,8 @@ class TestGradientDifferences:
 
     @pytest.mark.parametrize("transform", TRANSFORMS, ids=repr)
     def test_matches_exact_hessian(self, transform):
-        dataset, w, steps = hessian_problem(5000, 50, seed=33)
-        hessian = _fd_hessian(dataset, transform, w, steps)
+        dataset, w, _ = hessian_problem(5000, 50, seed=33)
+        hessian = _fd_hessian(dataset, transform, w)
         exact = _hessian(dataset.features, dataset.targets, transform,
                          _evaluate(dataset.features, dataset.targets, transform, w)[0])
         assert np.abs(hessian - exact).max() <= 1e-8 * np.abs(exact).max()
@@ -720,11 +723,10 @@ class TestGradientDifferences:
 
 class TestWitnessSearch:
     def test_tanh_witness_found(self):
-        witness = find_nonconvex_witness(
-            TANH1, np.linspace(-3, 3, 61), np.linspace(-1, 1, 21)
-        )
-        assert witness is not None
-        z, y, value = witness
+        report = find_nonconvex_witness(TANH1, np.linspace(-3, 3, 61), np.linspace(-1, 1, 21))
+        assert not report.passed
+        assert report.check_name == "nonconvex_witness_search" and report.samples_tested == 61 * 21
+        (z, y), value = report.witness, report.worst_violation
         assert value <= -1.5
         # Independent confirmation by second-order finite differences.
         h = 1e-5
@@ -733,7 +735,9 @@ class TestWitnessSearch:
         assert abs(abs(z) - 1.0) <= 0.2  # near the reference point
 
     def test_affine_has_no_witness(self):
-        assert find_nonconvex_witness(AFF, np.linspace(-3, 3, 61), np.linspace(-1, 1, 21)) is None
+        report = find_nonconvex_witness(AFF, np.linspace(-3, 3, 61), np.linspace(-1, 1, 21))
+        # A pass reports slack exactly 0.0, not the smallest curvature (2.0 here).
+        assert report.passed and report.witness is None and report.worst_violation == 0.0
 
     @pytest.mark.parametrize("z_grid, y_grid", [([0.0, -1.0], [0.0]), ([0.0], [1.0, 0.5])], ids=["z", "y"])
     def test_unsorted_grid_rejected(self, z_grid, y_grid):
@@ -750,7 +754,8 @@ class TestWitnessSearch:
         transform = ConvexSqrtTransform(alpha, y_bound)
         z_grid = np.linspace(-3.0, 3.0, 61)
         y_grid = np.linspace(-y_bound, y_bound, 21)
-        assert find_nonconvex_witness(transform, z_grid, y_grid) is None
+        report = find_nonconvex_witness(transform, z_grid, y_grid)
+        assert report.passed and report.witness is None and report.worst_violation == 0.0
         z, y = np.meshgrid(z_grid, y_grid, indexing="ij")
         values = psd_condition_value(transform, z, y)
         # The minimum is exactly 0.0, where the target sits at the bound on the far side of the kink.
@@ -763,9 +768,9 @@ class TestWitnessSearch:
     def test_convex_sqrt_out_of_bound_witness_opposite_the_target(self, alpha, y_bound, sign):
         transform = ConvexSqrtTransform(alpha, y_bound)
         z_grid = np.linspace(-3.0, 3.0, 61)
-        witness = find_nonconvex_witness(transform, z_grid, [sign * 1.5 * y_bound])
-        assert witness is not None
-        z, y, value = witness
+        report = find_nonconvex_witness(transform, z_grid, [sign * 1.5 * y_bound])
+        assert not report.passed
+        (z, y), value = report.witness, report.worst_violation
         # Curvature Y*alpha^2*(Y - 1.5*Y)/(2*u^1.5) is most negative at the grid point nearest the kink.
         assert y == sign * 1.5 * y_bound
         assert z == z_grid[30 - int(sign)]
@@ -899,14 +904,22 @@ class TestVerificationBattery:
         assert len(slacks) == 3
         assert max(slacks) - min(slacks) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "transform", [ConvexSqrtTransform(1.0, 1.5), TanhTransform(1.5), AFF], ids=["convex-sqrt", "tanh", "affine"]
+    )
+    def test_last_entry_is_the_witness_search_report(self, transform):
+        checks = verification_battery(transform, 1.5, 100, seed=0)
+        search = find_nonconvex_witness(transform, np.linspace(-3, 3, 61), np.linspace(-1.5, 1.5, 21))
+        assert checks[-1].to_dict() == search.to_dict()
+
     def test_deterministic(self):
         a = verification_battery(ConvexSqrtTransform(2.0, 1.5), 1.5, 2000, seed=11)
         b = verification_battery(ConvexSqrtTransform(2.0, 1.5), 1.5, 2000, seed=11)
         assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
-    @pytest.mark.parametrize("y_bound", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("y_bound", [0.0, -1.0, np.nan, np.inf])
     def test_y_bound_must_be_positive(self, y_bound):
-        with pytest.raises(ValueError, match="y_bound must be positive"):
+        with pytest.raises(ValueError, match="y_bound must be a finite positive number"):
             verification_battery(CS11, y_bound, 100)
 
     def test_numpy_integer_sample_count(self):

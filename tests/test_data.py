@@ -425,6 +425,10 @@ class TestGenerateSynthetic:
             generate_synthetic(SynthSpec(3, 0, transform))
         with pytest.raises(ValueError):
             generate_synthetic(SynthSpec(3, 2, transform, noise_std=-1.0))
+        with pytest.raises(ValueError, match=r"^n_samples must be an integer >= 1, got 2.5$"):
+            generate_synthetic(SynthSpec(2.5, 3, transform))
+        with pytest.raises(ValueError, match=r"^n_features must be an integer >= 1, got 2.5$"):
+            generate_synthetic(SynthSpec(3, 2.5, transform))
 
 
 class TestEstimateTargetBound:

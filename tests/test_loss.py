@@ -424,7 +424,7 @@ class TestTargetBoundFlagging:
         # target-bound warning to handle.
         dataset = Dataset(np.ones((len(targets), 1)), np.array(targets))
         transform = ConvexSqrtTransform(1.0, estimate_target_bound(dataset))
-        assert _bound_violation(transform, dataset.targets) is None
+        assert _bound_violation(transform, dataset.targets) == []
 
 
 class TestDataTypes:
@@ -466,6 +466,12 @@ class TestDataTypes:
         np.testing.assert_allclose(model.predict(np.array([[3.0], [0.0]])), [1.0, 0.0])
         with pytest.raises(DimensionMismatchError):
             model.predict(np.array([[1.0, 2.0]]))
+        # Features that are not a matrix are named by their shape, not a column count.
+        model = Model(np.array([0.1, 0.2, 0.3]), CS11)
+        with pytest.raises(DimensionMismatchError, match=r"^features must be a 2-D matrix, got shape \(3,\)$"):
+            model.predict(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionMismatchError, match=r"^features must be a 2-D matrix, got shape \(\)$"):
+            model.predict(1.0)
 
     def test_dataset_stores_features_column_major(self):
         dataset = Dataset(np.arange(6.0).reshape(3, 2), np.zeros(3))

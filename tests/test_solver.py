@@ -146,6 +146,8 @@ class TestSolverConfig:
             {"grad_tol": -0.0},
             {"grad_tol": float("nan")},
             {"grad_tol": float("-inf")},
+            {"grad_tol": math.inf},
+            {"max_iters": 2.5},
         ],
     )
     def test_rejects_bad_ranges(self, kwargs):
@@ -210,6 +212,8 @@ class TestMultiRestart:
         dataset, _ = make_realizable(seed=310)
         with pytest.raises(ValueError):
             multi_restart_fit(dataset, CS11, 1)
+        with pytest.raises(ValueError, match=r"^restarts must be an integer >= 2, got 2.5$"):
+            multi_restart_fit(dataset, CS11, 2.5)
 
     def test_out_of_bound_targets_warn_once(self):
         dataset, _ = make_realizable(seed=312)
