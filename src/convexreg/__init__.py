@@ -20,7 +20,6 @@ from .loss import (
     DimensionMismatchError,
     Model,
     TargetBoundWarning,
-    convexity_target_bound,
     dloss_dz,
     loss_z,
     psd_condition_value,
@@ -85,7 +84,6 @@ __all__ = [
     "TanhTransform",
     "TargetBoundWarning",
     "Transform",
-    "convexity_target_bound",
     "derivative_monotonicity_check",
     "dloss_dz",
     "estimate_target_bound",

@@ -120,7 +120,7 @@ def midpoint_convexity_check(
     z_range: tuple[float, float],
     n_samples: int,
     *,
-    seed: int = 0,
+    seed: int | None = 0,
     check_name: str = "midpoint_convexity",
 ) -> ConvexityReport:
     """Sample the chord inequality ``l(mid) <= lam*l(z1) + (1-lam)*l(z2)``.
@@ -133,7 +133,8 @@ def midpoint_convexity_check(
     ``n_samples``; contiguous ranges of chunks run on the usable cores,
     and the report is the same at any core count.  Raises
     NonFiniteCheckError at the first triple with a loss that is not
-    finite, and ValueError when ``n_samples`` is not an integer >= 1.
+    finite, and ValueError when ``n_samples`` is not an integer >= 1 or
+    ``seed`` is neither None (fresh entropy) nor an integer >= 0.
     """
     lo, hi = float(z_range[0]), float(z_range[1])
     # The width bounds the draws: uniform(lo, hi) needs hi - lo finite.
@@ -141,6 +142,7 @@ def midpoint_convexity_check(
         raise ValueError("z_range must be a nondegenerate (low, high) pair with finite ends and width")
     # A Python int: PCG64.advance overflows on numpy integer offsets.
     n_samples = _count(n_samples, "n_samples", 1)
+    seed = None if seed is None else _count(seed, "seed", 0)
 
     state = np.random.default_rng(seed).bit_generator.state
     n_chunks = -(-n_samples // _CHUNK)
@@ -409,9 +411,11 @@ def verification_battery(
     small synthetic dataset at three random weight vectors, and a grid
     search for a pointwise curvature counterexample (exact for
     convex-sqrt).  Deterministic for a given seed.  Raises
-    NonFiniteCheckError when any check meets a value that is not finite.
+    NonFiniteCheckError when any check meets a value that is not finite,
+    and ValueError when ``seed`` is not an integer >= 0.
     """
     y_bound = _finite_positive(y_bound, "y_bound")
+    seed = _count(seed, "seed", 0)
     reports: list[ConvexityReport] = []
     y_values = [-y_bound, -0.5 * y_bound, 0.0, 0.5 * y_bound, y_bound]
 

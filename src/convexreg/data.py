@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -216,7 +217,12 @@ def _resolve_target_index(
             raise MissingTargetColumnError(
                 f"target column {target_column!r} not found in header {header!r}"
             ) from None
-    index = int(target_column)
+    try:
+        index = operator.index(target_column)
+    except TypeError:
+        raise MissingTargetColumnError(
+            f"target column must be a name or an integer index, got {target_column!r}"
+        ) from None
     if not 0 <= index < n_columns:
         raise MissingTargetColumnError(
             f"target column index {index} out of range for {n_columns} columns"
@@ -297,10 +303,11 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
     """
     n_samples = _count(spec.n_samples, "n_samples", 1)
     n_features = _count(spec.n_features, "n_features", 1)
+    seed = _count(spec.seed, "seed", 0)
     if not spec.noise_std >= 0.0:
         raise ValueError("noise_std must be nonnegative")
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     weights = rng.uniform(-1.0, 1.0, n_features)
     features = np.asfortranarray(rng.uniform(-1.0, 1.0, (n_samples, n_features)))
     noise = rng.normal(0.0, spec.noise_std, n_samples) if spec.noise_std > 0 else 0.0

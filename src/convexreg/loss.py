@@ -7,13 +7,12 @@ inputs, so concurrent evaluation is safe.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .transforms import ConvexSqrtTransform, AffineTransform, Transform
+from .transforms import Transform
 
 
 class DimensionMismatchError(ValueError):
@@ -146,23 +145,9 @@ def dloss_dz(transform: Transform, z, y):
     return _slope(transform, z, _residual(transform, z, y))
 
 
-def convexity_target_bound(transform: Transform) -> float | None:
-    """Largest |y| for which the composed loss is guaranteed convex.
-
-    Returns ``inf`` for the affine baseline, the transform's ``y_bound``
-    for the square-root family, and ``None`` when no target magnitude
-    gives a guarantee (tanh).
-    """
-    if isinstance(transform, ConvexSqrtTransform):
-        return transform.y_bound
-    if isinstance(transform, AffineTransform):
-        return math.inf
-    return None
-
-
 def _bound_violation(transform: Transform, targets: np.ndarray) -> list[str]:
     """A report's ``warnings`` list: one message counting the targets beyond the convexity bound, or none."""
-    bound = convexity_target_bound(transform)
+    bound = transform.target_bound
     if bound is None or not np.isfinite(bound):
         return []
     n_outside = int(np.count_nonzero(np.abs(targets) > bound))
@@ -234,21 +219,11 @@ def psd_condition_value(transform: Transform, z, y):
     """Second derivative of the loss in z, ``2*g'(z)^2 + 2*(g(z)-y)*g''(z)``, for every transform.
 
     The sign decides whether the loss Hessian contribution ``value * x x^T``
-    is positive semidefinite at this (z, y).  Convex-sqrt has no second
-    derivative at z = 0, so its curvature is the closed form
-    ``Y*alpha^2*(Y + sign(z)*y) / (2*u^1.5)`` with ``u = alpha*|z| + 1``,
-    which is >= 0 exactly when |y| <= Y; at z = 0 it is the mean of the
-    two one-sided values.  Overflow is quiet: a huge |z| gives curvature 0,
-    and an alpha whose square overflows gives values that are not finite.
+    is positive semidefinite at this (z, y).  Each transform computes it in
+    its own ``_curvature``; convex-sqrt's is a closed form, >= 0 exactly
+    when |y| <= Y, that stays defined at z = 0.
     """
-    if isinstance(transform, ConvexSqrtTransform):
-        with np.errstate(over="ignore"):
-            u = transform.alpha * np.abs(z) + 1.0
-            scale = transform.y_bound * (transform.alpha * transform.alpha) / (2.0 * u * np.sqrt(u))
-        return scale * (transform.y_bound + np.sign(z) * y)
-    gpp = transform.second_derivative(z)
-    gp = transform.derivative(z)
-    return 2.0 * gp * gp + 2.0 * _residual(transform, z, y) * gpp
+    return transform._curvature(z, y)
 
 
 def _hessian(features, targets, transform, z) -> np.ndarray:

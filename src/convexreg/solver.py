@@ -70,6 +70,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "max_iters", _count(self.max_iters, "max_iters", 1))
         object.__setattr__(self, "grad_tol", _finite_positive(self.grad_tol, "grad_tol"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,13 +8,14 @@ convex in the model weights as long as every target lies inside
 contrast that breaks convexity.
 
 All evaluation methods are elementwise and accept floats or numpy arrays.
-Affine and tanh expose ``second_derivative``; convex-sqrt has none at
-z = 0, so :func:`convexreg.loss.psd_condition_value` holds its loss
-curvature in closed form.
+Each transform owns its loss curvature in z (``_curvature``, public as
+:func:`convexreg.loss.psd_condition_value`) and its ``target_bound``, the
+largest |y| for which the loss is guaranteed convex (None: no such |y|).
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass, fields
 from typing import Union
@@ -87,6 +88,22 @@ class ConvexSqrtTransform:
         root *= 2.0
         return np.divide(self.y_bound * self.alpha, root, out=root)[()]
 
+    @property
+    def target_bound(self) -> float:
+        return self.y_bound
+
+    def _curvature(self, z, y):
+        """``Y*alpha^2*(Y + sign(z)*y) / (2*u^1.5)``, ``u = alpha*|z| + 1``: >= 0 exactly when |y| <= Y.
+
+        At z = 0, where g'' does not exist, it is the mean of the one-sided
+        values.  Overflow is quiet: a huge |z| gives 0, an alpha whose square
+        overflows gives values that are not finite.
+        """
+        with np.errstate(over="ignore"):
+            u = self.alpha * np.abs(z) + 1.0
+            scale = self.y_bound * (self.alpha * self.alpha) / (2.0 * u * np.sqrt(u))
+        return scale * (self.y_bound + np.sign(z) * y)
+
 
 @dataclass(frozen=True)
 class AffineTransform:
@@ -96,6 +113,7 @@ class AffineTransform:
     b: float = 0.0
 
     kind = "affine"
+    target_bound = math.inf
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
@@ -107,8 +125,10 @@ class AffineTransform:
     def derivative(self, z):
         return self.a + 0.0 * z
 
-    def second_derivative(self, z):
-        return 0.0 * z
+    def _curvature(self, z, y):
+        """``2*a^2``; the zero g'' term keeps a non-finite z or residual nan."""
+        slope = self.derivative(z)
+        return 2.0 * slope * slope + 2.0 * (self.evaluate(z) - y) * (0.0 * z)
 
 
 @dataclass(frozen=True)
@@ -118,6 +138,7 @@ class TanhTransform:
     scale: float
 
     kind = "tanh"
+    target_bound = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scale", _finite_positive(self.scale, "scale"))
@@ -128,9 +149,10 @@ class TanhTransform:
     def derivative(self, z):
         return self.scale * (1.0 - np.tanh(z) ** 2)
 
-    def second_derivative(self, z):
+    def _curvature(self, z, y):
         th = np.tanh(z)
-        return -2.0 * self.scale * th * (1.0 - th**2)
+        slope, bend = self.scale * (1.0 - th**2), -2.0 * self.scale * th * (1.0 - th**2)
+        return 2.0 * slope * slope + 2.0 * (self.scale * th - y) * bend
 
 
 Transform = Union[ConvexSqrtTransform, AffineTransform, TanhTransform]

@@ -29,7 +29,6 @@ PUBLIC_API = [
     "TanhTransform",
     "TargetBoundWarning",
     "Transform",
-    "convexity_target_bound",
     "derivative_monotonicity_check",
     "dloss_dz",
     "estimate_target_bound",
@@ -56,7 +55,6 @@ PUBLIC_API = [
 
 # Each public function's parameters by name and kind ("*" opens the keyword-only ones).
 PUBLIC_SIGNATURES = {
-    "convexity_target_bound": "(transform)",
     "derivative_monotonicity_check": "(transform, y, z_grid, *, check_name)",
     "dloss_dz": "(transform, z, y)",
     "estimate_target_bound": "(dataset)",

@@ -107,6 +107,9 @@ class TestMidpointCheck:
             midpoint_convexity_check(CS11, 0.0, (1.0, 1.0), 10)
         with pytest.raises(ValueError):
             midpoint_convexity_check(CS11, 0.0, (0.0, 1.0), 0)
+        for seed in (2.5, -1):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                midpoint_convexity_check(CS11, 0.0, (0.0, 1.0), 10, seed=seed)
 
     @pytest.mark.parametrize(
         "z_range", [(-np.inf, 1.0), (0.0, np.inf), (-1e308, 1e308)], ids=["low-inf", "high-inf", "inf-width"]
@@ -921,6 +924,11 @@ class TestVerificationBattery:
     def test_y_bound_must_be_positive(self, y_bound):
         with pytest.raises(ValueError, match="y_bound must be a finite positive number"):
             verification_battery(CS11, y_bound, 100)
+
+    @pytest.mark.parametrize("seed", [2.5, -1])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            verification_battery(CS11, 1.0, 100, seed=seed)
 
     def test_numpy_integer_sample_count(self):
         a = verification_battery(CS11, 1.0, np.int64(2000), seed=4)

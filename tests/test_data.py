@@ -121,6 +121,11 @@ class TestLoadCsv:
             load_csv(DatasetSpec(path, target_column="c"))
         with pytest.raises(MissingTargetColumnError):
             load_csv(DatasetSpec(path, target_column=5))
+        # A float index is refused, not truncated; 2.0 would name the third column.
+        three = write(tmp_path, "a,b,c\n1,2,3\n", name="three.csv")
+        for index in (1.5, 2.0):
+            with pytest.raises(MissingTargetColumnError, match=rf"got {index}$"):
+                load_csv(DatasetSpec(three, target_column=index))
 
     @both_loaders
     @pytest.mark.parametrize(
@@ -429,6 +434,9 @@ class TestGenerateSynthetic:
             generate_synthetic(SynthSpec(2.5, 3, transform))
         with pytest.raises(ValueError, match=r"^n_features must be an integer >= 1, got 2.5$"):
             generate_synthetic(SynthSpec(3, 2.5, transform))
+        for seed in (2.5, -1):
+            with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed}$"):
+                generate_synthetic(SynthSpec(3, 2, transform, seed=seed))
 
 
 class TestEstimateTargetBound:

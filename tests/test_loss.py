@@ -15,7 +15,6 @@ from convexreg import (
     Model,
     TanhTransform,
     TargetBoundWarning,
-    convexity_target_bound,
     dloss_dz,
     estimate_target_bound,
     loss_z,
@@ -397,9 +396,9 @@ class TestPsdConditionValue:
 
 class TestTargetBoundFlagging:
     def test_bound_per_transform(self):
-        assert convexity_target_bound(ConvexSqrtTransform(1.0, 2.5)) == 2.5
-        assert convexity_target_bound(AffineTransform(1.0, 0.0)) == np.inf
-        assert convexity_target_bound(TanhTransform(1.0)) is None
+        assert ConvexSqrtTransform(1.0, 2.5).target_bound == 2.5
+        assert AffineTransform(1.0, 0.0).target_bound == np.inf
+        assert TanhTransform(1.0).target_bound is None
 
     def test_total_loss_warns_outside_bound(self):
         dataset = Dataset(np.array([[1.0]]), np.array([3.0]))

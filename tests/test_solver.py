@@ -148,6 +148,8 @@ class TestSolverConfig:
             {"grad_tol": float("-inf")},
             {"grad_tol": math.inf},
             {"max_iters": 2.5},
+            {"seed": 2.5},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_ranges(self, kwargs):
@@ -450,8 +452,12 @@ class TestRoundingFloor:
         assert np.isfinite(grad).all()
         assert solver._newton_decrement(features, targets, transform, z, grad) == np.inf
 
-    def test_convex_sqrt_curvature_matches_finite_differences(self):
-        transform = ConvexSqrtTransform(2.0, 1.5)
+    @pytest.mark.parametrize(
+        "transform",
+        [ConvexSqrtTransform(2.0, 1.5), TanhTransform(1.4), AffineTransform(1.5, 0.2)],
+        ids=["convex-sqrt", "tanh", "affine"],
+    )
+    def test_curvature_matches_finite_differences(self, transform):
         z = np.array([-3.0, -0.4, 0.25, 2.0])
         y = np.array([1.5, -0.7, 0.3, -1.5])
         h = 1e-4

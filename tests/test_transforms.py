@@ -146,17 +146,6 @@ class TestDerivative:
         np.testing.assert_allclose(t.derivative(1e-15), t.derivative(0.0), rtol=1e-12)
 
 
-class TestSecondDerivative:
-    def test_affine_is_zero(self):
-        assert AffineTransform(2.0, 1.0).second_derivative(3.7) == 0.0
-
-    def test_tanh_matches_finite_differences(self):
-        t = TanhTransform(1.4)
-        for z in (-2.0, -0.5, 0.0, 0.7, 2.5):
-            fd = central_difference(t.derivative, z, 1e-6)
-            np.testing.assert_allclose(t.second_derivative(z), fd, atol=1e-7)
-
-
 class TestHypothesisProperties:
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     @settings(max_examples=300)
