@@ -35,7 +35,7 @@ from .data import (
     load_feature_csv,
     write_csv,
 )
-from .loss import Model, TargetBoundWarning, _bound_violation
+from .loss import DimensionMismatchError, Model, TargetBoundWarning, _bound_violation
 from .solver import (
     NonFiniteLossError,
     SolverConfig,
@@ -233,15 +233,13 @@ def _cmd_predict(args) -> int:
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
-    d = model.weights.size
-    if features.shape[1] == d - 1:
+    if features.shape[1] == model.weights.size - 1:
         # Trained with a bias column: append it here too.
         features = np.column_stack([features, np.ones(features.shape[0])])
-    elif features.shape[1] != d:
-        return _fail_data(
-            f"model has {d} weights but {args.data} has {features.shape[1]} columns"
-        )
-    predictions = model.predict(features)
+    try:
+        predictions = model.predict(features)
+    except DimensionMismatchError as exc:
+        return _fail_data(f"{args.data}: {exc}")
     sys.stdout.write("".join([repr(value) + "\n" for value in predictions.tolist()]))
     return EXIT_OK
 

@@ -120,7 +120,7 @@ def midpoint_convexity_check(
     z_range: tuple[float, float],
     n_samples: int,
     *,
-    seed: int | None = 0,
+    seed: int = 0,
     check_name: str = "midpoint_convexity",
 ) -> ConvexityReport:
     """Sample the chord inequality ``l(mid) <= lam*l(z1) + (1-lam)*l(z2)``.
@@ -134,7 +134,7 @@ def midpoint_convexity_check(
     and the report is the same at any core count.  Raises
     NonFiniteCheckError at the first triple with a loss that is not
     finite, and ValueError when ``n_samples`` is not an integer >= 1 or
-    ``seed`` is neither None (fresh entropy) nor an integer >= 0.
+    ``seed`` is not an integer >= 0.
     """
     lo, hi = float(z_range[0]), float(z_range[1])
     # The width bounds the draws: uniform(lo, hi) needs hi - lo finite.
@@ -142,7 +142,7 @@ def midpoint_convexity_check(
         raise ValueError("z_range must be a nondegenerate (low, high) pair with finite ends and width")
     # A Python int: PCG64.advance overflows on numpy integer offsets.
     n_samples = _count(n_samples, "n_samples", 1)
-    seed = None if seed is None else _count(seed, "seed", 0)
+    seed = _count(seed, "seed", 0)
 
     state = np.random.default_rng(seed).bit_generator.state
     n_chunks = -(-n_samples // _CHUNK)
@@ -335,7 +335,8 @@ def fd_hessian_psd_check(
     ``HESSIAN_STEP * (1 + |w_i|)`` build the matrix from 2d gradient
     passes; it is symmetrized as (H + H^T)/2 and its minimum eigenvalue,
     normalized by ``1 + max |H entry|``, is the slack, passing iff >=
-    -``HESSIAN_TOL``.  The witness pairs w with the offending eigenvector.
+    -``HESSIAN_TOL``.  The witness pairs w with the offending eigenvector,
+    each a tuple of floats.
     Raises ValueError for a ``w`` that is not finite or of the wrong length,
     and NonFiniteHessianError when a loss or an entry is not finite.
     """
@@ -348,7 +349,7 @@ def fd_hessian_psd_check(
         check_name=check_name,
         passed=worst >= -HESSIAN_TOL,
         worst_violation=worst,
-        witness=(w, eigenvectors[:, 0].copy()),
+        witness=(tuple(w.tolist()), tuple(eigenvectors[:, 0].tolist())),
         samples_tested=w.size * w.size,
     )
 

@@ -140,9 +140,8 @@ def _scan_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, 
     Blank rows are dropped but still counted, so errors name 1-based file
     coordinates.  No field is longer than the file, so the reader's field
     limit is raised to the file's size while it reads, and a long field
-    cannot hide a bad cell after it.  The cells are converted in one numpy
-    call; only if that fails are they scanned in row order to name the
-    first bad cell.
+    cannot hide a bad cell after it.  Each cell is converted once, in file
+    order, so the first bad cell is the one named.
     """
     try:
         with (
@@ -183,21 +182,16 @@ def _scan_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, 
     if header is not None and len(header) != n_columns:
         raise CsvParseError(f"{path}: header has {len(header)} fields but rows have {n_columns}")
 
-    try:
-        # numpy converts each cell with float(), so values match it bit for bit.
-        matrix = np.array([row for _, row in rows], dtype=float)
-        if not np.isfinite(matrix).all():
-            raise ValueError("non-finite cell")
-    except ValueError:
-        for line_no, row in rows:
-            for column, cell in enumerate(row, start=1):
-                try:
-                    finite = math.isfinite(float(cell))
-                except ValueError:
-                    raise NonNumericCellError(line_no, column, cell, path=path) from None
-                if not finite:
-                    raise NonNumericCellError(line_no, column, cell, "is not finite", path=path) from None
-        raise
+    matrix = np.empty((len(rows), n_columns))
+    for i, (line_no, row) in enumerate(rows):
+        for column, cell in enumerate(row, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise NonNumericCellError(line_no, column, cell, path=path) from None
+            if not math.isfinite(value):
+                raise NonNumericCellError(line_no, column, cell, "is not finite", path=path)
+            matrix[i, column - 1] = value
     return header, matrix
 
 
@@ -220,9 +214,11 @@ def _resolve_target_index(
     try:
         index = operator.index(target_column)
     except TypeError:
+        index = None
+    if index is None or isinstance(target_column, bool):
         raise MissingTargetColumnError(
             f"target column must be a name or an integer index, got {target_column!r}"
-        ) from None
+        )
     if not 0 <= index < n_columns:
         raise MissingTargetColumnError(
             f"target column index {index} out of range for {n_columns} columns"
@@ -304,13 +300,14 @@ def generate_synthetic(spec: SynthSpec) -> tuple[Dataset, np.ndarray]:
     n_samples = _count(spec.n_samples, "n_samples", 1)
     n_features = _count(spec.n_features, "n_features", 1)
     seed = _count(spec.seed, "seed", 0)
-    if not spec.noise_std >= 0.0:
-        raise ValueError("noise_std must be nonnegative")
+    noise_std = float(spec.noise_std)
+    if not (math.isfinite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be a finite nonnegative number, got {noise_std!r}")
 
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-1.0, 1.0, n_features)
     features = np.asfortranarray(rng.uniform(-1.0, 1.0, (n_samples, n_features)))
-    noise = rng.normal(0.0, spec.noise_std, n_samples) if spec.noise_std > 0 else 0.0
+    noise = rng.normal(0.0, noise_std, n_samples) if noise_std > 0 else 0.0
     targets = spec.transform.evaluate(_response(features, weights) + noise)
     return Dataset(features, np.asarray(targets, dtype=float)), weights
 

@@ -32,12 +32,12 @@ def _finite_positive(value: float, name: str) -> float:
 
 
 def _count(value, name: str, low: int) -> int:
-    """``value`` as an int; the one gate for an integer >= ``low`` (numpy integers pass, 5.0 does not)."""
+    """``value`` as an int; the one gate for an integer >= ``low`` (numpy integers pass, 5.0 and True do not)."""
     try:
         count = operator.index(value)
     except TypeError:
         count = None
-    if count is None or count < low:
+    if count is None or isinstance(value, bool) or count < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return count
 

@@ -192,9 +192,10 @@ class TestPredict:
         model = {"weights": [1.0, 2.0], "transform": {"kind": "affine", "a": 1.0, "b": 0.0}}
         (tmp_path / "m.json").write_text(json.dumps(model))
         (tmp_path / "f.csv").write_text("a,b,c,d\n1,2,3,4\n")
-        code, _, err = run_cli("predict", "--model", tmp_path / "m.json", "--data", tmp_path / "f.csv")
+        code, out, err = run_cli("predict", "--model", tmp_path / "m.json", "--data", tmp_path / "f.csv")
         assert code == 3
-        assert "columns" in err
+        assert out == ""
+        assert err == f"error: {tmp_path / 'f.csv'}: model has 2 weights but features have 4 columns\n"
 
     def test_header_width_mismatch(self, tmp_path):
         model = {"weights": [1.0], "transform": {"kind": "affine", "a": 1.0, "b": 0.0}}

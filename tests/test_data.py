@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import sys
 import tempfile
 import threading
@@ -123,8 +124,10 @@ class TestLoadCsv:
             load_csv(DatasetSpec(path, target_column=5))
         # A float index is refused, not truncated; 2.0 would name the third column.
         three = write(tmp_path, "a,b,c\n1,2,3\n", name="three.csv")
-        for index in (1.5, 2.0):
-            with pytest.raises(MissingTargetColumnError, match=rf"got {index}$"):
+        # A bool is refused too; True would name the second column.
+        for index in (1.5, 2.0, True, False):
+            message = rf"^target column must be a name or an integer index, got {index}$"
+            with pytest.raises(MissingTargetColumnError, match=message):
                 load_csv(DatasetSpec(three, target_column=index))
 
     @both_loaders
@@ -428,8 +431,9 @@ class TestGenerateSynthetic:
             generate_synthetic(SynthSpec(0, 3, transform))
         with pytest.raises(ValueError):
             generate_synthetic(SynthSpec(3, 0, transform))
-        with pytest.raises(ValueError):
-            generate_synthetic(SynthSpec(3, 2, transform, noise_std=-1.0))
+        for noise_std in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=rf"^noise_std must be a finite nonnegative number, got {noise_std}$"):
+                generate_synthetic(SynthSpec(3, 2, transform, noise_std=noise_std))
         with pytest.raises(ValueError, match=r"^n_samples must be an integer >= 1, got 2.5$"):
             generate_synthetic(SynthSpec(2.5, 3, transform))
         with pytest.raises(ValueError, match=r"^n_features must be an integer >= 1, got 2.5$"):

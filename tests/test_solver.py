@@ -150,6 +150,10 @@ class TestSolverConfig:
             {"max_iters": 2.5},
             {"seed": 2.5},
             {"seed": -1},
+            {"max_iters": True},
+            {"max_iters": False},
+            {"seed": True},
+            {"seed": False},
         ],
     )
     def test_rejects_bad_ranges(self, kwargs):
