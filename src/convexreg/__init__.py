@@ -2,7 +2,7 @@
 
 A square-root transform keeps the squared loss convex in the model
 weights whenever targets stay inside a known bound; this package fits
-such models with guaranteed-descent gradient descent and ships a
+such models with a guaranteed-descent quasi-Newton solver and ships a
 numerical lab that certifies the convexity claims (and exhibits
 counterexamples for transforms like tanh that break them).
 """

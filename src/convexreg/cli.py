@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="fit a model by gradient descent")
+    fit = sub.add_parser("fit", help="fit a model by BFGS quasi-Newton descent")
     _add_dataset_flags(fit)
     fit.add_argument("--transform", choices=_TRANSFORMS, default="convex-sqrt")
     fit.add_argument("--alpha", type=_positive, default=1.0, help="curvature rate (affine slope)")

@@ -144,7 +144,6 @@ def midpoint_convexity_check(
     n_samples = _count(n_samples, "n_samples", 1)
     seed = _count(seed, "seed", 0)
 
-    state = np.random.default_rng(seed).bit_generator.state
     n_chunks = -(-n_samples // _CHUNK)
     n_ranges = min(n_chunks, _usable_cores())
     starts = [n_chunks * k // n_ranges * _CHUNK for k in range(n_ranges)] + [n_samples]
@@ -156,15 +155,15 @@ def midpoint_convexity_check(
     stopped = threading.Event()
 
     def judge_range(k):
-        # One copy of the stream per variable, each jumped ahead to where the
-        # one-stream draw reaches the range's first triple, so any split of the
-        # triples draws the same numbers.
-        streams = []
-        for offset in (0, n_samples, 2 * n_samples):
-            bits = np.random.PCG64()
-            bits.state = state
-            streams.append(np.random.Generator(bits.advance(offset + starts[k])))
-        z1_rng, z2_rng, lam_rng = streams
+        # One copy of default_rng(seed)'s stream per variable, each jumped ahead
+        # to where the one-stream draw reaches the range's first triple, so any
+        # split of the triples draws the same numbers.  Each is built from the
+        # seed: an unseeded PCG64 would keep the OS entropy it drew, an int
+        # whose traced size varies from call to call.
+        z1_rng, z2_rng, lam_rng = (
+            np.random.Generator(np.random.PCG64(seed).advance(offset + starts[k]))
+            for offset in (0, n_samples, 2 * n_samples)
+        )
         first_worst = None
         for start in range(starts[k], starts[k + 1], _CHUNK):
             if stopped.is_set():

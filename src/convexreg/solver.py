@@ -1,6 +1,6 @@
-"""Batch gradient descent with backtracking line search, plus closed-form OLS.
+"""BFGS quasi-Newton descent with backtracking line search, plus closed-form OLS.
 
-Convexity of the composed loss is what makes this simple solver globally
+Convexity of the composed loss is what makes this solver globally
 reliable: with the square-root transform and in-bound targets, every
 restart reaches the same optimal loss value.
 """
@@ -56,7 +56,7 @@ class SingularSystemError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Gradient-descent settings.
+    """Settings of :func:`gd_fit`'s quasi-Newton descent.
 
     The solver stops when ``||grad||_2 <= grad_tol * (1 + |loss|)`` and
     caps work at ``max_iters`` accepted steps.  ``seed`` drives restart
@@ -98,36 +98,34 @@ class FitReport:
 
 
 def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | None = None) -> FitReport:
-    """Minimize the cumulative squared loss by gradient descent from ``w0``.
+    """Minimize the cumulative squared loss by BFGS quasi-Newton descent from ``w0``.
 
-    Each iteration takes a step s along the negative gradient g.  The first
-    trial is s = 1; later ones start from the Barzilai-Borwein step
-    ``s_prev * g_prev^T (g_prev - g) / ||g - g_prev||^2``, built from the
-    previous iteration's gradient g_prev and accepted step s_prev, or from
-    s_prev doubled where that quotient is not a finite positive number.
-    The step is halved until the Armijo test
-    ``L(w - s*g) <= L(w) - 1e-4 * s * ||g||^2`` passes, so the loss trace
-    is nonincreasing.  A search from the Barzilai-Borwein step that fails
-    is run once more from s_prev doubled.  Terminations:
+    Each iteration searches along ``-H g`` from the step s = 1, where g is
+    the gradient and H the BFGS estimate of the inverse loss Hessian, built
+    from the steps and gradients the fit already has (Nocedal & Wright,
+    *Numerical Optimization*, ch. 6).  Before the first update, and
+    wherever the slope ``g^T H g`` is not a finite positive number, it
+    searches along ``-g`` with slope ``||g||^2``.  The step is halved until
+    the Armijo test ``L(w - s*H g) <= L(w) - 1e-4 * s * g^T H g`` passes,
+    so the loss trace is nonincreasing.  Terminations:
 
     - ``converged``: gradient norm fell below ``grad_tol * (1 + |loss|)``;
     - ``max_iters``: iteration budget exhausted;
-    - ``converged_at_floor``: no trial with ``s * ||g||^2 >= eps * loss``
+    - ``converged_at_floor``: no trial with ``s * g^T H g >= eps * loss``
       passes the Armijo test, where eps is float64 machine epsilon, and
-      the Newton decrement ``g^T H^-1 g / 2`` at the last point, which
-      estimates how much further the loss can fall, is at most
-      ``eps * loss``: the loss is optimal to its own rounding;
+      the Newton decrement ``g^T K^-1 g / 2`` at the last point, where K
+      is the exact loss Hessian, estimates that the loss can fall by at
+      most ``eps * loss``: it is optimal to its own rounding;
     - ``line_search_stalled``: no such trial passes, but the decrement is
-      larger, or the loss Hessian H is not positive definite.
+      larger, or K is not positive definite.
 
-    Trials with ``s * ||g||^2 < eps * loss`` are not evaluated: a decrease
+    Trials with ``s * g^T H g < eps * loss`` are not evaluated: a decrease
     below the loss's rounding could pass only by luck.  At loss 0 the rule
     admits every step, and trials stop below 1e-16.
 
     One iteration costs one gradient reduction, which reuses the response
-    and residual of the trial point accepted last, plus one mat-vec and
-    one transform evaluation per line-search trial.  A fit whose line
-    search fails builds the loss Hessian once, at its last point.
+    and residual of the trial point accepted last, O(d^2) work on H, and one
+    mat-vec and transform evaluation per trial.  A failed search builds K once.
 
     Raises NonFiniteLossError when the loss, or the gradient norm, at the
     starting point is not finite: no step from there can be judged.
@@ -152,44 +150,34 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
     trace = [loss]
     iterations = 0
     termination = TERMINATION_MAX_ITERS
-    # The first iteration doubles this step: its first trial is 1.
-    step = _BACKTRACK
-    previous_grad = None
+    inverse = None  # the BFGS inverse-Hessian estimate, from the first update on
 
     for _ in range(config.max_iters):
         if grad_norm <= config.grad_tol * (1.0 + abs(loss)):
             termination = TERMINATION_CONVERGED
             break
 
-        grad_sq = grad_norm * grad_norm
-        doubled = step / _BACKTRACK
-        first = doubled if previous_grad is None else _bb_step(step, previous_grad, grad)
-        accepted = False
-        # A search from the Barzilai-Borwein step that fails is retried once
-        # from the doubled step before the fit is labelled.
-        for step in (first,) if first == doubled else (first, doubled):
-            while step > _MIN_STEP and step * grad_sq >= _EPS * loss:
-                w_try, z_try, residual_try, loss_try = _trial(features, targets, transform, w, grad, step)
-                # Strict decrease is required on top of the Armijo test: at the
-                # floating-point floor the Armijo threshold rounds to loss itself,
-                # which would otherwise accept zero-progress steps forever.
-                # NaN/inf trial losses fail both tests and shrink the step.
-                if loss_try <= loss - _ARMIJO_C * step * grad_sq and loss_try < loss:
-                    accepted = True
-                    break
-                step *= _BACKTRACK
-            if accepted:
+        direction, slope = _direction(inverse, grad, grad_norm)
+        step = 1.0
+        while step > _MIN_STEP and step * slope >= _EPS * loss:
+            w_try, z_try, residual_try, loss_try = _trial(features, targets, transform, w, direction, step)
+            # Strict decrease is required on top of the Armijo test: at the
+            # floating-point floor the Armijo threshold rounds to loss itself,
+            # which would otherwise accept zero-progress steps forever.
+            # NaN/inf trial losses fail both tests and shrink the step.
+            if loss_try <= loss - _ARMIJO_C * step * slope and loss_try < loss:
                 break
-        if not accepted:
+            step *= _BACKTRACK
+        else:  # no trial passed
             at_floor = _newton_decrement(features, targets, transform, z, grad) <= _EPS * loss
             termination = TERMINATION_AT_FLOOR if at_floor else TERMINATION_STALLED
             break
 
-        w, z, residual, loss = w_try, z_try, residual_try, loss_try
+        grad_try, grad_norm = _gradient_and_norm(features, transform, z_try, residual_try)
+        inverse = _bfgs_update(inverse, w_try - w, grad_try - grad)
+        w, z, residual, loss, grad = w_try, z_try, residual_try, loss_try, grad_try
         trace.append(loss)
         iterations += 1
-        previous_grad = grad
-        grad, grad_norm = _gradient_and_norm(features, transform, z, residual)
 
     return FitReport(
         final_weights=_frozen(w),
@@ -201,36 +189,48 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
     )
 
 
-def _bb_step(step, previous_grad, grad) -> float:
-    """The first trial step after an accepted step ``step`` along ``-previous_grad``.
+def _direction(inverse, grad, grad_norm) -> tuple[np.ndarray, float]:
+    """The search direction ``H g`` and its slope ``g^T H g``.
 
-    It is the Barzilai-Borwein step ``s^T y / y^T y`` (the second of the
-    two in *IMA J. Numer. Anal.* 8, 1988), for ``s = -step * previous_grad``
-    and ``y = grad - previous_grad``: the a that best fits the secant
-    equation ``s = a * y`` in least squares.  It is ``step`` doubled when
-    ``s^T y <= 0``, when ``y^T y = 0`` or when the quotient is not finite.
-    The dot products are reduced by einsum without BLAS, so the bits do not
-    depend on the BLAS thread count.
+    They are g and ``||g||^2`` before the first update and where that slope is not a finite positive number.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = grad - previous_grad
-        sy = -step * float(np.einsum("i,i->", previous_grad, y))
-        yy = float(np.einsum("i,i->", y, y))
-    if sy > 0.0 and yy > 0.0:
-        quotient = sy / yy
-        if math.isfinite(quotient):
-            return quotient
-    return step / _BACKTRACK
+    if inverse is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            direction = np.einsum("ij,j->i", inverse, grad)
+            slope = float(np.einsum("i,i->", grad, direction))
+        if slope > 0.0 and math.isfinite(slope):
+            return direction, slope
+    return grad, grad_norm * grad_norm
 
 
-def _trial(features, targets, transform, w, grad, step):
-    """The trial point ``w - step * grad`` with its response, residual and loss.
+def _bfgs_update(inverse, s, y):
+    """``(I - r s y^T) H (I - r y s^T) + r s s^T``, ``r = 1 / s^T y``: H after step s changed g by y.
+
+    That is Nocedal & Wright's eq. 6.17, from ``H = (s^T y / y^T y) I`` at
+    the first update (eq. 6.20).  H is returned unchanged where ``s^T y``
+    is not a finite positive number.  Products are reduced by einsum
+    without BLAS, so the bits do not depend on the BLAS thread count.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sy = float(np.einsum("i,i->", s, y))
+        if not (sy > 0.0 and math.isfinite(sy)):
+            return inverse
+        if inverse is None:
+            inverse = np.eye(s.size) * (sy / float(np.einsum("i,i->", y, y)))
+        hy = np.einsum("ij,j->i", inverse, y)
+        r = 1.0 / sy
+        ss = (r * r * float(np.einsum("i,i->", y, hy)) + r) * np.multiply.outer(s, s)
+        return inverse - r * (np.multiply.outer(s, hy) + np.multiply.outer(hy, s)) + ss
+
+
+def _trial(features, targets, transform, w, direction, step):
+    """The trial point ``w - step * direction`` with its response, residual and loss.
 
     Every trial is evaluated from scratch, never by updating z along
-    ``X @ grad``: the carried z drifts, and the loss reported for the
+    ``X @ direction``: the carried z drifts, and the loss reported for the
     returned weights must be their exact loss.
     """
-    w_try = w - step * grad
+    w_try = w - step * direction
     return (w_try, *_evaluate(features, targets, transform, w_try))
 
 

@@ -280,11 +280,11 @@ class TestCompare:
         assert len(report["results"]["tanh"]["final_losses"]) == 20
 
     def test_fits_optimal_at_the_rounding_floor_exit_0(self, tmp_path):
-        # Noisy data with --y-bound auto: every fit ends when the line search
+        # Noisy data with --y-bound auto: the fit ends when the line search
         # can no longer resolve a decrease, at a point the Newton decrement
-        # certifies as optimal.
+        # certifies as optimal.  (At seed 2 it ends converged instead.)
         code, _, err = run_cli(
-            "synth", "--n", 5000, "--d", 8, "--noise", 0.1, "--seed", 2, "--out", tmp_path / "d.csv",
+            "synth", "--n", 5000, "--d", 8, "--noise", 0.1, "--seed", 1, "--out", tmp_path / "d.csv",
         )
         assert code == 0, err
         code, out, err = run_cli("fit", "--data", tmp_path / "d.csv", "--y-bound", "auto")

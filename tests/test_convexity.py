@@ -469,6 +469,10 @@ class TestChunkedMidpoint:
         # first ~25 (CPython 3.11).
         for _ in range(40):
             peak(3 * _CHUNK)
+        # Every call then peaks alike.  A stream from an unseeded PCG64 would keep
+        # the OS entropy it drew, an int traced 4 bytes smaller whenever it falls
+        # below 2**120: in about one call of 85.
+        assert len({peak(3 * _CHUNK) for _ in range(100)}) == 1
         small, large = peak(10**6), peak(2 * 10**6)
         assert small < 8 * 2**20  # the three one-pass draws alone take 24 MB
         assert large == small
