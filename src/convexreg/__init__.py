@@ -22,7 +22,6 @@ from .loss import (
     TargetBoundWarning,
     dloss_dz,
     loss_z,
-    psd_condition_value,
     total_gradient,
     total_loss,
 )
@@ -39,7 +38,6 @@ from .convexity import (
     ConvexityReport,
     InvalidGridError,
     NonFiniteCheckError,
-    NonFiniteHessianError,
     derivative_monotonicity_check,
     fd_hessian_psd_check,
     find_nonconvex_witness,
@@ -75,7 +73,6 @@ __all__ = [
     "MissingTargetColumnError",
     "Model",
     "NonFiniteCheckError",
-    "NonFiniteHessianError",
     "NonFiniteLossError",
     "NonNumericCellError",
     "SingularSystemError",
@@ -98,7 +95,6 @@ __all__ = [
     "midpoint_convexity_check",
     "multi_restart_fit",
     "ols_fit",
-    "psd_condition_value",
     "total_gradient",
     "total_loss",
     "transform_from_dict",

@@ -175,6 +175,17 @@ def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--standardize", action="store_true", help="standardize feature columns (bias exempt)")
 
 
+def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of :class:`SolverConfig`, with its defaults; :func:`_solver_config` reads them back."""
+    parser.add_argument("--seed", type=_at_least(0), default=SolverConfig.seed)
+    parser.add_argument("--max-iters", type=_at_least(1), default=SolverConfig.max_iters)
+    parser.add_argument("--grad-tol", type=_positive, default=SolverConfig.grad_tol)
+
+
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
+
+
 def _cmd_fit(args) -> int:
     started = time.perf_counter()
     try:
@@ -189,7 +200,7 @@ def _cmd_fit(args) -> int:
 
     run_warnings = _bound_violation(transform, dataset.targets)
 
-    config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
+    config = _solver_config(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TargetBoundWarning)  # already recorded above
         try:
@@ -281,7 +292,7 @@ def _cmd_compare(args) -> int:
         return _fail_data(str(exc))
 
     y_bound = estimate_target_bound(dataset)
-    config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
+    config = _solver_config(args)
     results = {}
     for kind in ("convex-sqrt", "tanh"):
         transform = _build_transform(kind, args.alpha, y_bound)
@@ -349,9 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--y-bound", type=_auto_or_positive, default="auto", help="target bound Y, or 'auto' for max |y|"
     )
     fit.add_argument("--restarts", type=_at_least(1), default=1)
-    fit.add_argument("--seed", type=_at_least(0), default=0)
-    fit.add_argument("--max-iters", type=_at_least(1), default=10000)
-    fit.add_argument("--grad-tol", type=_positive, default=1e-8)
+    _add_solver_flags(fit)
     fit.add_argument("--out", default=None, help="write the fitted model as JSON")
     fit.set_defaults(func=_cmd_fit)
 
@@ -372,10 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare", help="contrast restart dispersion: convex-sqrt vs tanh")
     _add_dataset_flags(compare)
     compare.add_argument("--restarts", type=_at_least(10), default=20)
-    compare.add_argument("--seed", type=_at_least(0), default=0)
     compare.add_argument("--alpha", type=_positive, default=1.0)
-    compare.add_argument("--max-iters", type=_at_least(1), default=10000)
-    compare.add_argument("--grad-tol", type=_positive, default=1e-8)
+    _add_solver_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 
     synth = sub.add_parser("synth", help="generate a seeded synthetic dataset")

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from .loss import Dataset, dloss_dz, loss_z, psd_condition_value, _checked_weights, _evaluate, _gradient
+from .loss import Dataset, dloss_dz, loss_z, _checked_weights, _evaluate, _gradient
 from .transforms import Transform, _count, _finite_positive
 
 MIDPOINT_TOL = 1e-9
@@ -43,10 +43,6 @@ class InvalidGridError(ValueError):
 
 class NonFiniteCheckError(ValueError):
     """A sampled loss or loss derivative is not finite, so the check has no verdict."""
-
-
-class NonFiniteHessianError(NonFiniteCheckError):
-    """A loss at a finite-difference point, or a Hessian entry, is not finite, so no PSD verdict exists."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +117,6 @@ def midpoint_convexity_check(
     n_samples: int,
     *,
     seed: int = 0,
-    check_name: str = "midpoint_convexity",
 ) -> ConvexityReport:
     """Sample the chord inequality ``l(mid) <= lam*l(z1) + (1-lam)*l(z2)``.
 
@@ -233,7 +228,7 @@ def midpoint_convexity_check(
     # the earlier triple.
     worst, witness = min(ranges, key=lambda pair: pair[0])
     return ConvexityReport(
-        check_name=check_name,
+        check_name="midpoint_convexity",
         passed=worst >= -MIDPOINT_TOL,
         worst_violation=worst,
         witness=witness,
@@ -241,13 +236,7 @@ def midpoint_convexity_check(
     )
 
 
-def derivative_monotonicity_check(
-    transform: Transform,
-    y: float,
-    z_grid,
-    *,
-    check_name: str = "derivative_monotonicity",
-) -> ConvexityReport:
+def derivative_monotonicity_check(transform: Transform, y: float, z_grid) -> ConvexityReport:
     """Check that the loss derivative in z never decreases along a grid.
 
     A nondecreasing derivative of a continuously differentiable function
@@ -258,7 +247,9 @@ def derivative_monotonicity_check(
     a difference is not finite.
     """
     grid = np.asarray(z_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
+    if grid.ndim != 1:
+        raise InvalidGridError(f"z_grid must be a 1-D sequence, got shape {grid.shape}")
+    if grid.size < 2:
         raise InvalidGridError("z_grid must contain at least two points")
     if not np.all(np.isfinite(grid)):
         raise InvalidGridError("grid entries must be finite")
@@ -277,7 +268,7 @@ def derivative_monotonicity_check(
     idx = int(np.argmin(diffs))
     worst = float(diffs[idx])
     return ConvexityReport(
-        check_name=check_name,
+        check_name="derivative_monotonicity",
         passed=worst >= -MONOTONICITY_TOL,
         worst_violation=worst,
         witness=(float(grid[idx]), float(grid[idx + 1])),
@@ -291,7 +282,7 @@ def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray) -> np.nda
     The step is ``s_i = HESSIAN_STEP * (1 + |w_i|)``.  Column i is
     ``(grad L(w + s_i e_i) - grad L(w - s_i e_i)) / h_i`` with
     ``h_i = (w_i + s_i) - (w_i - s_i)``, the step as it is represented.
-    Raises NonFiniteHessianError when a loss or an entry is not finite.
+    Raises NonFiniteCheckError when a loss or an entry is not finite.
     """
     steps = HESSIAN_STEP * (1.0 + np.abs(w))
     d = w.size
@@ -308,26 +299,20 @@ def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray) -> np.nda
             hessian[:, i] = (gradients[0] - gradients[1]) / ((w[i] + steps[i]) - (w[i] - steps[i]))
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:
-        raise NonFiniteHessianError(
+        raise NonFiniteCheckError(
             f"the loss is not finite at {bad.size} of {losses.size} finite-difference "
             f"points (first: {float(losses[bad[0]])!r} at point {int(bad[0])})"
         )
     if not np.all(np.isfinite(hessian)):
         i, j = np.argwhere(~np.isfinite(hessian))[0]
-        raise NonFiniteHessianError(
+        raise NonFiniteCheckError(
             f"finite-difference Hessian entry ({i}, {j}) is {float(hessian[i, j])!r}: "
             "the gradients are too large to difference"
         )
     return hessian
 
 
-def fd_hessian_psd_check(
-    dataset: Dataset,
-    transform: Transform,
-    w,
-    *,
-    check_name: str = "fd_hessian_psd",
-) -> ConvexityReport:
+def fd_hessian_psd_check(dataset: Dataset, transform: Transform, w) -> ConvexityReport:
     """Finite-difference Hessian of the total loss at w, tested for PSD.
 
     Central differences of the loss gradient with per-coordinate step
@@ -337,7 +322,7 @@ def fd_hessian_psd_check(
     -``HESSIAN_TOL``.  The witness pairs w with the offending eigenvector,
     each a tuple of floats.
     Raises ValueError for a ``w`` that is not finite or of the wrong length,
-    and NonFiniteHessianError when a loss or an entry is not finite.
+    and NonFiniteCheckError when a loss or an entry is not finite.
     """
     w = _checked_weights(dataset, w, "w")
     hessian = _fd_hessian(dataset, transform, w)
@@ -345,7 +330,7 @@ def fd_hessian_psd_check(
     scale = 1.0 + float(np.abs(hessian).max())
     worst = float(eigenvalues[0]) / scale
     return ConvexityReport(
-        check_name=check_name,
+        check_name="fd_hessian_psd",
         passed=worst >= -HESSIAN_TOL,
         worst_violation=worst,
         witness=(tuple(w.tolist()), tuple(eigenvectors[:, 0].tolist())),
@@ -357,7 +342,7 @@ def find_nonconvex_witness(transform: Transform, z_grid, y_grid) -> ConvexityRep
     """Grid-search the pointwise loss curvature for a negative value.
 
     The report, ``nonconvex_witness_search``, fails when the minimum of
-    :func:`psd_condition_value` over the grid is negative: its slack is
+    ``transform.curvature`` over the grid is negative: its slack is
     that minimum and its witness the (z, y) giving it.  A pass has slack
     exactly 0.0 and witness None.  Covers every transform.  For
     convex-sqrt the curvature is in closed form and its sign is exact: no
@@ -377,7 +362,7 @@ def find_nonconvex_witness(transform: Transform, z_grid, y_grid) -> ConvexityRep
 
     z_mesh, y_mesh = np.meshgrid(z_grid, y_grid, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = psd_condition_value(transform, z_mesh, y_mesh)
+        values = transform.curvature(z_mesh, y_mesh)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
@@ -420,23 +405,12 @@ def verification_battery(
     y_values = [-y_bound, -0.5 * y_bound, 0.0, 0.5 * y_bound, y_bound]
 
     for offset, y in enumerate(y_values):
-        reports.append(
-            midpoint_convexity_check(
-                transform,
-                y,
-                z_range=(-100.0, 100.0),
-                n_samples=n_samples,
-                seed=seed + offset,
-                check_name=f"midpoint_convexity(y={y:g})",
-            )
-        )
+        report = midpoint_convexity_check(transform, y, (-100.0, 100.0), n_samples, seed=seed + offset)
+        reports.append(replace(report, check_name=f"midpoint_convexity(y={y:g})"))
     grid = graded_grid(50.0, 2001)
     for y in y_values:
-        reports.append(
-            derivative_monotonicity_check(
-                transform, y, grid, check_name=f"derivative_monotonicity(y={y:g})"
-            )
-        )
+        report = derivative_monotonicity_check(transform, y, grid)
+        reports.append(replace(report, check_name=f"derivative_monotonicity(y={y:g})"))
 
     rng = np.random.default_rng(seed)
     features = rng.uniform(-1.0, 1.0, (30, 3))
@@ -444,9 +418,8 @@ def verification_battery(
     dataset = Dataset(features, targets)
     for draw in range(3):
         w = rng.uniform(-1.0, 1.0, 3)
-        reports.append(
-            fd_hessian_psd_check(dataset, transform, w, check_name=f"fd_hessian_psd(w_draw={draw})")
-        )
+        report = fd_hessian_psd_check(dataset, transform, w)
+        reports.append(replace(report, check_name=f"fd_hessian_psd(w_draw={draw})"))
 
     z_grid, y_grid = np.linspace(-3.0, 3.0, 61), np.linspace(-y_bound, y_bound, 21)
     reports.append(find_nonconvex_witness(transform, z_grid, y_grid))

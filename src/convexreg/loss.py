@@ -215,17 +215,6 @@ def total_gradient(model: Model, dataset: Dataset) -> np.ndarray:
     return _gradient(dataset.features, model.transform, z, residual)
 
 
-def psd_condition_value(transform: Transform, z, y):
-    """Second derivative of the loss in z, ``2*g'(z)^2 + 2*(g(z)-y)*g''(z)``, for every transform.
-
-    The sign decides whether the loss Hessian contribution ``value * x x^T``
-    is positive semidefinite at this (z, y).  Each transform computes it in
-    its own ``_curvature``; convex-sqrt's is a closed form, >= 0 exactly
-    when |y| <= Y, that stays defined at z = 0.
-    """
-    return transform._curvature(z, y)
-
-
 def _hessian(features, targets, transform, z) -> np.ndarray:
     """Loss Hessian ``sum_i l''(z_i, y_i) x_i x_i^T`` at a point with response z.
 
@@ -235,7 +224,7 @@ def _hessian(features, targets, transform, z) -> np.ndarray:
     as one contiguous dot product.  It calls no BLAS, as in
     :func:`_gradient`, so the bits do not depend on the BLAS thread count.
     """
-    curvature = psd_condition_value(transform, z, targets)
+    curvature = transform.curvature(z, targets)
     n_samples, n_features = features.shape
     rows = max(1, _HESSIAN_BLOCK_ELEMENTS // n_features)
     hessian = np.zeros((n_features, n_features))

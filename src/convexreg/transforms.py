@@ -8,9 +8,11 @@ convex in the model weights as long as every target lies inside
 contrast that breaks convexity.
 
 All evaluation methods are elementwise and accept floats or numpy arrays.
-Each transform owns its loss curvature in z (``_curvature``, public as
-:func:`convexreg.loss.psd_condition_value`) and its ``target_bound``, the
-largest |y| for which the loss is guaranteed convex (None: no such |y|).
+Each transform owns its loss curvature in z, ``curvature(z, y)``, the
+second derivative ``2*g'(z)^2 + 2*(g(z)-y)*g''(z)`` whose sign decides
+whether the loss Hessian term ``value * x x^T`` is positive semidefinite
+at (z, y).  It also owns its ``target_bound``, the largest |y| for which
+the loss is guaranteed convex (None: no such |y|).
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class ConvexSqrtTransform:
     def target_bound(self) -> float:
         return self.y_bound
 
-    def _curvature(self, z, y):
+    def curvature(self, z, y):
         """``Y*alpha^2*(Y + sign(z)*y) / (2*u^1.5)``, ``u = alpha*|z| + 1``: >= 0 exactly when |y| <= Y.
 
         At z = 0, where g'' does not exist, it is the mean of the one-sided
@@ -116,7 +118,9 @@ class AffineTransform:
     target_bound = math.inf
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("affine coefficients must be finite")
 
     def evaluate(self, z):
@@ -125,8 +129,8 @@ class AffineTransform:
     def derivative(self, z):
         return self.a + 0.0 * z
 
-    def _curvature(self, z, y):
-        """``2*a^2``; the zero g'' term keeps a non-finite z or residual nan."""
+    def curvature(self, z, y):
+        """Loss curvature in z, ``2*a^2`` for every y; the zero g'' term keeps a non-finite z or residual nan."""
         slope = self.derivative(z)
         return 2.0 * slope * slope + 2.0 * (self.evaluate(z) - y) * (0.0 * z)
 
@@ -149,7 +153,8 @@ class TanhTransform:
     def derivative(self, z):
         return self.scale * (1.0 - np.tanh(z) ** 2)
 
-    def _curvature(self, z, y):
+    def curvature(self, z, y):
+        """Loss curvature; negative at some (z, y) with |y| <= scale, such as (1, -scale)."""
         th = np.tanh(z)
         slope, bend = self.scale * (1.0 - th**2), -2.0 * self.scale * th * (1.0 - th**2)
         return 2.0 * slope * slope + 2.0 * (self.scale * th - y) * bend

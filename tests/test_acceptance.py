@@ -30,7 +30,6 @@ from convexreg import (
     midpoint_convexity_check,
     multi_restart_fit,
     ols_fit,
-    psd_condition_value,
     total_gradient,
     total_loss,
     SynthSpec,
@@ -191,7 +190,7 @@ def test_05_global_optimum_consistency_and_nonconvex_witness():
         np.linspace(-1.5 * scale, 1.5 * scale, 31),
     )
     witness_ok = not search.passed and search.worst_violation <= -1.5
-    reference = psd_condition_value(tanh, 1.0, -1.0)
+    reference = tanh.curvature(1.0, -1.0)
     reference_ok = abs(reference - (-1.9010266976697454)) <= 1e-9
     h = 1e-5
     fd_ref = (

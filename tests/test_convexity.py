@@ -21,7 +21,6 @@ from convexreg import (
     InvalidGridError,
     Model,
     NonFiniteCheckError,
-    NonFiniteHessianError,
     SynthSpec,
     TanhTransform,
     derivative_monotonicity_check,
@@ -32,7 +31,6 @@ from convexreg import (
     graded_grid,
     loss_z,
     midpoint_convexity_check,
-    psd_condition_value,
     total_loss,
     verification_battery,
 )
@@ -534,6 +532,11 @@ class TestMonotonicityCheck:
         with pytest.raises(InvalidGridError):
             derivative_monotonicity_check(CS11, 0.0, [1.0, 1.0, 2.0])
 
+    def test_two_dimensional_grid_rejected(self):
+        # Nine points, but not a sequence: the message names the shape, not a point count.
+        with pytest.raises(InvalidGridError, match=r"z_grid must be a 1-D sequence, got shape \(3, 3\)"):
+            derivative_monotonicity_check(CS11, 0.0, np.zeros((3, 3)))
+
     @pytest.mark.parametrize("grid", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf]], ids=["nan", "inf"])
     def test_non_finite_grid_rejected(self, grid):
         # The grid is at fault, not the loss derivative: the same error as find_nonconvex_witness.
@@ -569,7 +572,7 @@ class TestHessianCheck:
         # d = 1, x = 1: the Hessian equals the pointwise curvature at (z=1, y=-1).
         second = directional_second_difference(dataset, TANH1, np.asarray(w), np.asarray(direction))
         np.testing.assert_allclose(second, -1.9010266976697454, rtol=1e-4)
-        np.testing.assert_allclose(second, psd_condition_value(TANH1, 1.0, -1.0), rtol=1e-4)
+        np.testing.assert_allclose(second, TANH1.curvature(1.0, -1.0), rtol=1e-4)
 
     def test_symmetry_invariant(self):
         rng = np.random.default_rng(403)
@@ -711,16 +714,13 @@ class TestGradientDifferences:
 
     def test_non_finite_loss_raises(self):
         dataset = Dataset(np.array([[1.0], [2.0]]), np.array([1e200, -1e200]))
-        with pytest.raises(NonFiniteHessianError, match="loss is not finite at 2 of 2"):
+        with pytest.raises(NonFiniteCheckError, match="loss is not finite at 2 of 2"):
             fd_hessian_psd_check(dataset, CS11, np.array([0.5]))
-
-    def test_non_finite_hessian_is_a_non_finite_check(self):
-        assert issubclass(NonFiniteHessianError, NonFiniteCheckError)
 
     def test_non_finite_entry_raises(self):
         # Losses near 1e300 are finite, but the slopes 2 r a overflow: inf - inf entries.
         dataset = Dataset(np.array([[1e-10, 0.5e-10], [2e-10, -1e-10]]), np.array([0.3, -0.2]))
-        with pytest.raises(NonFiniteHessianError, match=r"entry \(0, 0\) is nan"):
+        with pytest.raises(NonFiniteCheckError, match=r"entry \(0, 0\) is nan"):
             fd_hessian_psd_check(dataset, AffineTransform(1e160, 0.0), np.array([0.5, 1.0]))
 
 
@@ -760,7 +760,7 @@ class TestWitnessSearch:
         report = find_nonconvex_witness(transform, z_grid, y_grid)
         assert report.passed and report.witness is None and report.worst_violation == 0.0
         z, y = np.meshgrid(z_grid, y_grid, indexing="ij")
-        values = psd_condition_value(transform, z, y)
+        values = transform.curvature(z, y)
         # The minimum is exactly 0.0, where the target sits at the bound on the far side of the kink.
         assert values.min() == 0.0
         np.testing.assert_array_equal(values == 0.0, ((z > 0) & (y == -y_bound)) | ((z < 0) & (y == y_bound)))
@@ -875,6 +875,22 @@ class TestBoundaryOfTheGuarantee:
 
 
 class TestVerificationBattery:
+    def test_each_check_names_its_own_report(self):
+        dataset = Dataset(np.array([[1.0], [2.0]]), np.array([0.5, -0.5]))
+        assert midpoint_convexity_check(CS11, 0.0, (-1.0, 1.0), 10).check_name == "midpoint_convexity"
+        assert derivative_monotonicity_check(CS11, 0.0, [0.0, 1.0]).check_name == "derivative_monotonicity"
+        assert fd_hessian_psd_check(dataset, CS11, [0.5]).check_name == "fd_hessian_psd"
+
+    def test_report_names_in_order(self):
+        names = [c.check_name for c in verification_battery(CS11, 1.0, 100, seed=0)]
+        ys = ["-1", "-0.5", "0", "0.5", "1"]
+        assert names == [
+            *(f"midpoint_convexity(y={y})" for y in ys),
+            *(f"derivative_monotonicity(y={y})" for y in ys),
+            *(f"fd_hessian_psd(w_draw={draw})" for draw in range(3)),
+            "nonconvex_witness_search",
+        ]
+
     def test_convex_sqrt_all_pass(self):
         checks = verification_battery(ConvexSqrtTransform(1.0, 1.0), 1.0, 4000, seed=0)
         assert all(c.passed for c in checks)

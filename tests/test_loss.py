@@ -18,7 +18,6 @@ from convexreg import (
     dloss_dz,
     estimate_target_bound,
     loss_z,
-    psd_condition_value,
     total_gradient,
     total_loss,
 )
@@ -346,12 +345,12 @@ class TestPsdConditionValue:
         rng = np.random.default_rng(210)
         z = rng.uniform(-10, 10, 100)
         y = rng.uniform(-10, 10, 100)
-        np.testing.assert_array_equal(psd_condition_value(t, z, y), np.full(100, 2.0))
+        np.testing.assert_array_equal(t.curvature(z, y), np.full(100, 2.0))
 
     def test_tanh_witness_value(self):
         # Frozen from the closed-form tanh derivatives:
         # 2*sech(1)^4 + 2*(tanh(1)+1)*(-2*tanh(1)*sech(1)^2)
-        value = psd_condition_value(TanhTransform(1.0), 1.0, -1.0)
+        value = TanhTransform(1.0).curvature(1.0, -1.0)
         np.testing.assert_allclose(value, -1.9010266976697454, rtol=1e-12)
         # Independent oracle: second-order central difference of loss_z.
         h = 1e-5
@@ -363,13 +362,13 @@ class TestPsdConditionValue:
         np.testing.assert_allclose(value, fd, atol=1e-5)
 
     def test_tanh_symmetric_point(self):
-        assert psd_condition_value(TanhTransform(1.0), 0.0, 0.0) == 2.0
+        assert TanhTransform(1.0).curvature(0.0, 0.0) == 2.0
 
     def test_convex_sqrt_closed_form(self):
         t = ConvexSqrtTransform(2.0, 1.5)
         z = np.array([-3.0, -0.4, 0.0, 0.25, 2.0])
         y = np.array([1.5, -0.7, 0.9, 0.3, -1.5])
-        value = psd_condition_value(t, z, y)
+        value = t.curvature(z, y)
         # Y*alpha^2*(Y + sign(z)*y) / (2*u^1.5), u = alpha*|z| + 1, written out by hand.
         u = np.array([7.0, 1.8, 1.0, 1.5, 5.0])
         expected = 1.5 * 4.0 * (1.5 + np.array([-1.5, 0.7, 0.0, 0.3, -1.5])) / (2.0 * u**1.5)

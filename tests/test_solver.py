@@ -28,7 +28,6 @@ from convexreg import (
     loss_z,
     multi_restart_fit,
     ols_fit,
-    psd_condition_value,
     total_gradient,
     total_loss,
 )
@@ -473,7 +472,7 @@ class TestRoundingFloor:
         y = np.array([1.5, -0.7, 0.3, -1.5])
         h = 1e-4
         fd = (loss_z(transform, z + h, y) - 2.0 * loss_z(transform, z, y) + loss_z(transform, z - h, y)) / (h * h)
-        np.testing.assert_allclose(psd_condition_value(transform, z, y), fd, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(transform.curvature(z, y), fd, rtol=1e-6, atol=1e-6)
 
 
 def recorded_searches(monkeypatch):

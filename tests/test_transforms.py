@@ -91,6 +91,15 @@ class TestConvexSqrtEvaluate:
             with pytest.raises(ValueError, match="affine coefficients must be finite"):
                 AffineTransform(a, b)
 
+    def test_affine_coefficients_are_floats(self):
+        # As for the other transforms: ints and numeric strings become floats, other strings a ValueError.
+        t = AffineTransform(1, 0)
+        assert type(t.a) is float and type(t.b) is float
+        assert [type(v) for v in transform_to_dict(t).values()] == [str, float, float]
+        assert AffineTransform("1") == AffineTransform(1.0, 0.0)
+        with pytest.raises(ValueError):
+            AffineTransform("one")
+
 
 class TestDerivative:
     def test_exact_values(self):
