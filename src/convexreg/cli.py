@@ -1,4 +1,4 @@
-"""Command-line front end: fit, predict, verify, compare, synth.
+"""Command-line front end: fit, predict, verify, synth.
 
 Every command prints a single JSON report on stdout (predict prints a
 prediction per line instead); human diagnostics go to stderr.  Exit codes
@@ -59,7 +59,7 @@ EXIT_DATA_ERROR = 3
 EXIT_NOT_CONVERGED = 4
 EXIT_CHECK_FAILED = 5
 
-# Terminations that certify an optimum: fit exits 0 on them, and compare counts them as converged.
+# Terminations that certify an optimum: fit exits 0 on them.
 _OPTIMAL = (TERMINATION_CONVERGED, TERMINATION_AT_FLOOR)
 
 # Every error the data layer raises for a bad file derives from one of these.
@@ -143,16 +143,6 @@ def _build_transform(kind: str, alpha: float, y_bound: float) -> Transform:
     raise ValueError(f"unknown transform {kind!r}")
 
 
-def _load_dataset(args):
-    return load_csv(DatasetSpec(
-        path=args.data,
-        target_column=args.target_column,
-        has_header=args.has_header,
-        add_bias=args.add_bias,
-        standardize=args.standardize,
-    ))
-
-
 def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -162,34 +152,16 @@ def _load_model(path: str) -> Model:
     return Model(np.asarray(payload["weights"], dtype=float), transform_from_dict(payload["transform"]))
 
 
-def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", required=True, help="CSV file with features and a target column")
-    parser.add_argument(
-        "--target-column", type=_column, default=None,
-        help="target column name or 0-based index (default: last)",
-    )
-    parser.add_argument("--no-header", dest="has_header", action="store_false", help="the CSV has no header row")
-    parser.add_argument(
-        "--no-bias", dest="add_bias", action="store_false", help="do not append a constant 1.0 feature"
-    )
-    parser.add_argument("--standardize", action="store_true", help="standardize feature columns (bias exempt)")
-
-
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags of :class:`SolverConfig`, with its defaults; :func:`_solver_config` reads them back."""
-    parser.add_argument("--seed", type=_at_least(0), default=SolverConfig.seed)
-    parser.add_argument("--max-iters", type=_at_least(1), default=SolverConfig.max_iters)
-    parser.add_argument("--grad-tol", type=_positive, default=SolverConfig.grad_tol)
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
-
-
 def _cmd_fit(args) -> int:
     started = time.perf_counter()
     try:
-        dataset = _load_dataset(args)
+        dataset = load_csv(DatasetSpec(
+            path=args.data,
+            target_column=args.target_column,
+            has_header=args.has_header,
+            add_bias=args.add_bias,
+            standardize=args.standardize,
+        ))
     except _DATA_ERRORS as exc:
         return _fail_data(str(exc))
 
@@ -200,7 +172,7 @@ def _cmd_fit(args) -> int:
 
     run_warnings = _bound_violation(transform, dataset.targets)
 
-    config = _solver_config(args)
+    config = SolverConfig(max_iters=args.max_iters, grad_tol=args.grad_tol, seed=args.seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TargetBoundWarning)  # already recorded above
         try:
@@ -272,44 +244,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
-def _restart_summary(reports) -> dict:
-    losses = np.array([r.final_loss for r in reports])
-    low, high = float(losses.min()), float(losses.max())
-    return {
-        "final_losses": [float(v) for v in losses],
-        "min_loss": low,
-        "max_loss": high,
-        "relative_spread": (high - low) / (1.0 + low),
-        "n_converged": int(sum(r.termination in _OPTIMAL for r in reports)),
-    }
-
-
-def _cmd_compare(args) -> int:
-    started = time.perf_counter()
-    try:
-        dataset = _load_dataset(args)
-    except _DATA_ERRORS as exc:
-        return _fail_data(str(exc))
-
-    y_bound = estimate_target_bound(dataset)
-    config = _solver_config(args)
-    results = {}
-    for kind in ("convex-sqrt", "tanh"):
-        transform = _build_transform(kind, args.alpha, y_bound)
-        try:
-            reports = multi_restart_fit(dataset, transform, args.restarts, config)
-        except NonFiniteLossError as exc:
-            return _fail_data(f"{args.data}: {exc}")
-        summary = _restart_summary(reports)
-        summary["within_tolerance"] = summary["relative_spread"] <= 1e-6
-        results[kind] = summary
-
-    _emit_report(args, results, started, y_bound=float(y_bound))
-    if results["convex-sqrt"]["n_converged"] == 0:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
-
-
 def _cmd_synth(args) -> int:
     started = time.perf_counter()
     transform = _build_transform(args.transform, args.alpha, args.y_bound)
@@ -320,8 +254,8 @@ def _cmd_synth(args) -> int:
         noise_std=args.noise,
         seed=args.seed,
     )
-    weights_file = str(Path(args.out).with_suffix(".weights.json"))
     try:
+        weights_file = str(Path(args.out).with_suffix(".weights.json"))
         dataset, true_weights = generate_synthetic(spec)
         companion = {
             "true_weights": [float(w) for w in true_weights],
@@ -353,14 +287,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a model by BFGS quasi-Newton descent")
-    _add_dataset_flags(fit)
+    fit.add_argument("--data", required=True, help="CSV file with features and a target column")
+    fit.add_argument(
+        "--target-column", type=_column, default=None,
+        help="target column name or 0-based index (default: last)",
+    )
+    fit.add_argument("--no-header", dest="has_header", action="store_false", help="the CSV has no header row")
+    fit.add_argument("--no-bias", dest="add_bias", action="store_false", help="do not append a constant 1.0 feature")
+    fit.add_argument("--standardize", action="store_true", help="standardize feature columns (bias exempt)")
     fit.add_argument("--transform", choices=_TRANSFORMS, default="convex-sqrt")
     fit.add_argument("--alpha", type=_positive, default=1.0, help="curvature rate (affine slope)")
     fit.add_argument(
         "--y-bound", type=_auto_or_positive, default="auto", help="target bound Y, or 'auto' for max |y|"
     )
     fit.add_argument("--restarts", type=_at_least(1), default=1)
-    _add_solver_flags(fit)
+    fit.add_argument("--seed", type=_at_least(0), default=SolverConfig.seed)
+    fit.add_argument("--max-iters", type=_at_least(1), default=SolverConfig.max_iters)
+    fit.add_argument("--grad-tol", type=_positive, default=SolverConfig.grad_tol)
     fit.add_argument("--out", default=None, help="write the fitted model as JSON")
     fit.set_defaults(func=_cmd_fit)
 
@@ -377,13 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=_at_least(1), default=10000)
     verify.add_argument("--seed", type=_at_least(0), default=0)
     verify.set_defaults(func=_cmd_verify)
-
-    compare = sub.add_parser("compare", help="contrast restart dispersion: convex-sqrt vs tanh")
-    _add_dataset_flags(compare)
-    compare.add_argument("--restarts", type=_at_least(10), default=20)
-    compare.add_argument("--alpha", type=_positive, default=1.0)
-    _add_solver_flags(compare)
-    compare.set_defaults(func=_cmd_compare)
 
     synth = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     synth.add_argument("--n", type=_at_least(1), required=True, help="number of samples")

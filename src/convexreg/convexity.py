@@ -84,8 +84,6 @@ class ConvexityReport:
 
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, float)):

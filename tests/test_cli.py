@@ -165,6 +165,37 @@ class TestFit:
         report = json.loads(out)
         assert len(report["results"]["restarts"]) == 3
 
+    def test_convex_sqrt_restarts_reach_one_optimum(self, tmp_path):
+        # The paper's claim through the CLI: on tanh-generated data the loss
+        # under convex-sqrt is still convex, so every start ends at one loss.
+        code, _, err = run_cli(
+            "synth", "--n", 60, "--d", 2, "--noise", 0, "--transform", "tanh",
+            "--y-bound", 1.0, "--seed", 13, "--out", tmp_path / "t.csv",
+        )
+        assert code == 0, err
+        code, out, err = run_cli("fit", "--data", tmp_path / "t.csv", "--restarts", 20, "--seed", 3)
+        assert code == 0, err
+        losses = [r["final_loss"] for r in report_of(out)["results"]["restarts"]]
+        assert len(losses) == 20
+        assert max(losses) - min(losses) <= 1e-6 * (1.0 + min(losses))
+
+    def test_fits_optimal_at_the_rounding_floor_exit_0(self, tmp_path):
+        # Noisy data with --y-bound auto: the fit ends when the line search
+        # can no longer resolve a decrease, at a point the Newton decrement
+        # certifies as optimal.  (At seed 2 it ends converged instead.)
+        code, _, err = run_cli(
+            "synth", "--n", 5000, "--d", 8, "--noise", 0.1, "--seed", 1, "--out", tmp_path / "d.csv",
+        )
+        assert code == 0, err
+        code, out, err = run_cli("fit", "--data", tmp_path / "d.csv", "--y-bound", "auto")
+        assert code == 0, err
+        assert json.loads(out)["results"]["fit"]["termination"] == "converged_at_floor"
+
+    def test_iteration_cap_exits_4_with_the_report(self, synth_dir, capsys):
+        code, out, err = run_main(capsys, "fit", "--data", synth_dir / "data.csv", "--max-iters", 1)
+        assert code == 4, err
+        assert report_of(out)["results"]["fit"]["termination"] == "max_iters"
+
 
 class TestPredict:
     def test_known_model(self, tmp_path):
@@ -261,57 +292,6 @@ class TestVerify:
         assert "--y-bound" in err
 
 
-class TestCompare:
-    def test_restart_dispersion_report(self, tmp_path):
-        code, _, err = run_cli(
-            "synth", "--n", 60, "--d", 2, "--noise", 0, "--transform", "tanh",
-            "--y-bound", 1.0, "--seed", 13, "--out", tmp_path / "t.csv",
-        )
-        assert code == 0, err
-        code, out, err = run_cli(
-            "compare", "--data", tmp_path / "t.csv", "--restarts", 20, "--seed", 3,
-        )
-        assert code == 0, err
-        report = report_of(out)
-        convex = report["results"]["convex-sqrt"]
-        assert convex["relative_spread"] <= 1e-6
-        assert convex["within_tolerance"] is True
-        assert "tanh" in report["results"]
-        assert len(report["results"]["tanh"]["final_losses"]) == 20
-
-    def test_fits_optimal_at_the_rounding_floor_exit_0(self, tmp_path):
-        # Noisy data with --y-bound auto: the fit ends when the line search
-        # can no longer resolve a decrease, at a point the Newton decrement
-        # certifies as optimal.  (At seed 2 it ends converged instead.)
-        code, _, err = run_cli(
-            "synth", "--n", 5000, "--d", 8, "--noise", 0.1, "--seed", 1, "--out", tmp_path / "d.csv",
-        )
-        assert code == 0, err
-        code, out, err = run_cli("fit", "--data", tmp_path / "d.csv", "--y-bound", "auto")
-        assert code == 0, err
-        assert json.loads(out)["results"]["fit"]["termination"] == "converged_at_floor"
-        code, out, err = run_cli("compare", "--data", tmp_path / "d.csv")
-        assert code == 0, err
-        assert report_of(out)["results"]["convex-sqrt"]["n_converged"] >= 1
-
-    def test_no_converged_restart_exits_4(self, synth_dir, capsys):
-        code, out, err = run_main(capsys, "compare", "--data", synth_dir / "data.csv", "--max-iters", 1)
-        assert code == 4, err
-        assert report_of(out)["results"]["convex-sqrt"]["n_converged"] == 0
-
-    def test_overflowing_loss_exits_3(self, tmp_path, capsys):
-        (tmp_path / "d.csv").write_text("x,y\n1,1e200\n2,-1e200\n3,1e200\n")
-        code, out, err = run_main(capsys, "compare", "--data", tmp_path / "d.csv")
-        assert code == 3
-        assert out == ""
-        assert "loss at the starting point is inf" in err
-
-    def test_too_few_restarts(self, synth_dir):
-        code, _, err = run_cli("compare", "--data", synth_dir / "data.csv", "--restarts", 5)
-        assert code == 2
-        assert "--restarts" in err
-
-
 class TestConfigEcho:
     """``config_echo`` is every flag under its dest name, plus the y_bound resolved from the data."""
 
@@ -359,19 +339,6 @@ class TestConfigEcho:
         assert code == 0, err
         self.assert_echo(out, {"transform": "affine", "alpha": 2.0, "y_bound": 0.5, "samples": 100, "seed": 3})
 
-    def test_compare(self, synth_dir, capsys):
-        rows = (synth_dir / "data.csv").read_text().splitlines()[1:]
-        y_bound = max(abs(float(row.split(",")[-1])) for row in rows)
-        code, out, err = run_main(
-            capsys, "compare", "--data", synth_dir / "data.csv", "--restarts", "10", "--max-iters", "20",
-        )
-        assert code in (0, 4), err
-        self.assert_echo(out, {
-            "data": str(synth_dir / "data.csv"), "target_column": None, "has_header": True, "add_bias": True,
-            "standardize": False, "alpha": 1.0, "y_bound": y_bound, "restarts": 10, "seed": 0, "max_iters": 20,
-            "grad_tol": 1e-8,
-        })
-
     def test_synth(self, tmp_path, capsys):
         code, out, err = run_main(capsys, "synth", "--n", "5", "--d", "2", "--out", tmp_path / "s.csv")
         assert code == 0, err
@@ -395,7 +362,8 @@ class TestBadInput:
             (["fit", "--grad-tol", "nan"], "--grad-tol"),
             (["fit", "--y-bound", "inf"], "--y-bound"),
             (["fit", "--seed", "-1"], "--seed"),
-            (["compare", "--max-iters", "0"], "--max-iters"),
+            (["fit", "--max-iters", "0"], "--max-iters"),
+            (["fit", "--restarts", "0"], "--restarts"),
             (["verify", "--alpha", "nan"], "--alpha"),
             (["verify", "--samples", "0"], "--samples"),
             (["synth", "--n", "5", "--d", "0"], "--d"),
@@ -403,12 +371,12 @@ class TestBadInput:
             (["verify", "--y-bound", "1e308"], "--y-bound"),
         ],
         ids=["fit-alpha-nan", "fit-alpha-inf", "fit-grad-tol-nan", "fit-y-bound-inf",
-             "fit-seed-negative", "compare-max-iters-0", "verify-alpha-nan", "verify-samples-0",
+             "fit-seed-negative", "fit-max-iters-0", "fit-restarts-0", "verify-alpha-nan", "verify-samples-0",
              "synth-d-0", "synth-noise-nan", "verify-y-bound-huge"],
     )
     def test_bad_flag_exits_2_naming_it(self, tmp_path, argv, flag):
         (tmp_path / "d.csv").write_text(DATA)
-        extra = {"fit": ["--data", "d.csv"], "compare": ["--data", "d.csv"], "synth": ["--out", "s.csv"]}
+        extra = {"fit": ["--data", "d.csv"], "synth": ["--out", "s.csv"]}
         code, out, err = run_cli(*argv, *extra.get(argv[0], []), cwd=tmp_path)
         assert code == 2
         assert out == ""
@@ -425,8 +393,6 @@ class TestBadInput:
             ({"d.csv": b"a,t\n1,2\n\xff,3\n"}, ["fit", "--data", "d.csv"], "line 3"),
             ({"d.csv": "a,t\n1,1e200\n2,-1e200\n"},
              ["fit", "--data", "d.csv", "--y-bound", "3"], "loss at the starting point is inf"),
-            ({"d.csv": "a,t\n1,1e200\n2,-1e200\n"},
-             ["compare", "--data", "d.csv"], "loss at the starting point is inf"),
             ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--out", "absent/m.json"], "absent"),
             ({"f.csv": "x\n1\n", "m.json": '{"weights": ["nan"], "transform": {"kind": "tanh", "scale": 1}}'},
              ["predict", "--model", "m.json", "--data", "f.csv"], "weights must be finite"),
@@ -440,6 +406,9 @@ class TestBadInput:
             # Convex there, but the curvature overflows: no verdict rather than a refutation.
             ({}, ["verify", "--alpha", "1e200"], "the loss curvature is not finite at 1281 of 1281 grid points"),
             ({}, ["synth", "--n", "5", "--d", "2", "--noise", "1e308", "--out", "s.csv"], "must be finite"),
+            ({}, ["synth", "--n", "5", "--d", "2", "--out", ""], "has an empty name"),
+            ({}, ["synth", "--n", "5", "--d", "2", "--out", "."], "has an empty name"),
+            ({}, ["synth", "--n", "5", "--d", "2", "--out", "/"], "has an empty name"),
             ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--alpha", "1e308"],
              "gradient norm at the starting point is inf"),
             ({"d.csv": "x,y\n1,2\n" + "1" * 200_000 + ",3\n"}, ["fit", "--data", "d.csv"],
@@ -448,8 +417,8 @@ class TestBadInput:
              "line 4, column 2: cell 'abc' is not a number"),
             ({"d.csv": "x,y\n1,2\n1,abc\n"}, ["fit", "--data", "d.csv"],
              "error: d.csv: line 3, column 2: cell 'abc' is not a number\n"),
-            ({}, ["compare", "--data", "absent.csv"], "absent.csv"),
-            ({"d.csv": "a,t\n1,2\n1\n"}, ["compare", "--data", "d.csv"],
+            ({}, ["fit", "--data", "absent.csv"], "absent.csv"),
+            ({"d.csv": "a,t\n1,2\n1\n"}, ["fit", "--data", "d.csv"],
              "error: d.csv: line 3: expected 2 fields, found 1\n"),
             ({"d.csv": "1,2\n3,4\n"}, ["fit", "--data", "d.csv", "--no-header", "--target-column", "t"],
              "error: target column 't' requested but the file has no header\n"),
@@ -460,11 +429,12 @@ class TestBadInput:
             ({"d.csv": "a,t\n1,2\n1\x00,3\n"}, ["fit", "--data", "d.csv"], "d.csv: line 3"),
         ],
         ids=["constant-column", "std-overflow", "not-utf8", "fit-loss-overflow",
-             "compare-loss-overflow", "unwritable-model", "nan-weight", "model-not-object",
+             "unwritable-model", "nan-weight", "model-not-object",
              "model-transform-null", "model-transform-string",
-             "verify-alpha-huge", "verify-alpha-curvature-overflow", "synth-noise-huge", "fit-alpha-huge", "oversized-field",
-             "long-field-then-bad-cell", "bad-cell-names-file", "compare-missing-file",
-             "compare-ragged-row", "target-name-without-header", "target-only-without-bias", "nul-byte"],
+             "verify-alpha-huge", "verify-alpha-curvature-overflow", "synth-noise-huge",
+             "synth-out-empty", "synth-out-dot", "synth-out-root", "fit-alpha-huge", "oversized-field",
+             "long-field-then-bad-cell", "bad-cell-names-file", "fit-missing-file",
+             "fit-ragged-row", "target-name-without-header", "target-only-without-bias", "nul-byte"],
     )
     def test_bad_data_exits_3(self, tmp_path, files, argv, message):
         for name, content in files.items():
@@ -476,14 +446,22 @@ class TestBadInput:
         assert message in err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)  # nothing written
 
-    @pytest.mark.parametrize("command", ["fit", "compare"])
-    def test_overflowing_loss_prints_only_the_error(self, tmp_path, command):
+    def test_overflowing_loss_prints_only_the_error(self, tmp_path):
         (tmp_path / "d.csv").write_text("a,t\n1,1e200\n2,-1e200\n")
-        code, out, err = run_cli(command, "--data", "d.csv", cwd=tmp_path)
+        code, out, err = run_cli("fit", "--data", "d.csv", cwd=tmp_path)
         assert code == 3
         assert out == ""
         assert err == "error: d.csv: loss at the starting point is inf\n"  # no RuntimeWarning
+
+    def test_removed_compare_command_exits_2(self, tmp_path):
+        # `fit --restarts N` is the one restart path; the old `compare` is an unknown command.
+        (tmp_path / "d.csv").write_text(DATA)
+        code, out, err = run_cli("compare", "--data", "d.csv", cwd=tmp_path)
+        assert code == 2
+        assert out == ""
+        assert "invalid choice: 'compare'" in err
 
     @pytest.mark.parametrize(
         "argv",

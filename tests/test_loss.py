@@ -418,8 +418,8 @@ class TestTargetBoundFlagging:
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
     @settings(max_examples=300)
     def test_estimated_bound_is_never_violated(self, targets):
-        # compare builds its convex-sqrt transform on this bound, so it has no
-        # target-bound warning to handle.
+        # fit --y-bound auto builds its convex-sqrt transform on this bound, so
+        # it never records a target-bound warning.
         dataset = Dataset(np.ones((len(targets), 1)), np.array(targets))
         transform = ConvexSqrtTransform(1.0, estimate_target_bound(dataset))
         assert _bound_violation(transform, dataset.targets) == []
