@@ -254,8 +254,11 @@ def _cmd_synth(args) -> int:
         noise_std=args.noise,
         seed=args.seed,
     )
+    out = Path(args.out)
+    if not out.name:  # ".", "" and "/" name a directory, not a file
+        return _fail_data(f"--out {args.out!r} has no file name")
+    weights_file = str(out.with_suffix(".weights.json"))
     try:
-        weights_file = str(Path(args.out).with_suffix(".weights.json"))
         dataset, true_weights = generate_synthetic(spec)
         companion = {
             "true_weights": [float(w) for w in true_weights],

@@ -1,6 +1,8 @@
 """BFGS quasi-Newton descent with backtracking line search, plus closed-form OLS.
 
-Convexity of the composed loss is what makes this solver globally
+A search along the gradient starts at Polyak's step ``min(1, 2 L / ||g||^2)``,
+which a loss bounded below by 0 allows; a search along the BFGS direction
+starts at 1.  Convexity of the composed loss is what makes this solver globally
 reliable: with the square-root transform and in-bound targets, every
 restart reaches the same optimal loss value.
 """
@@ -105,7 +107,11 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     from the steps and gradients the fit already has (Nocedal & Wright,
     *Numerical Optimization*, ch. 6).  Before the first update, and
     wherever the slope ``g^T H g`` is not a finite positive number, it
-    searches along ``-g`` with slope ``||g||^2``.  The step is halved until
+    searches along ``-g`` with slope ``||g||^2`` from the step
+    ``s = min(1, 2 L / ||g||^2)``, or 1 where that is not a finite positive
+    number: the loss is a sum of squares, so it cannot fall below 0, and
+    this is where the quadratic along -g that matches L and its slope
+    reaches 0 (Polyak's step).  The step is halved until
     the Armijo test ``L(w - s*H g) <= L(w) - 1e-4 * s * g^T H g`` passes,
     so the loss trace is nonincreasing.  Terminations:
 
@@ -115,7 +121,9 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
       passes the Armijo test, where eps is float64 machine epsilon, and
       the Newton decrement ``g^T K^-1 g / 2`` at the last point, where K
       is the exact loss Hessian, estimates that the loss can fall by at
-      most ``eps * loss``: it is optimal to its own rounding;
+      most ``max(1, ceil(log2 N)) * eps * loss`` over N samples, the
+      rounding bound of the loss's pairwise sum: it is optimal to its own
+      rounding;
     - ``line_search_stalled``: no such trial passes, but the decrement is
       larger, or K is not positive definite.
 
@@ -157,8 +165,7 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
             termination = TERMINATION_CONVERGED
             break
 
-        direction, slope = _direction(inverse, grad, grad_norm)
-        step = 1.0
+        direction, slope, step = _direction(inverse, grad, grad_norm, loss)
         while step > _MIN_STEP and step * slope >= _EPS * loss:
             w_try, z_try, residual_try, loss_try = _trial(features, targets, transform, w, direction, step)
             # Strict decrease is required on top of the Armijo test: at the
@@ -169,7 +176,10 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
                 break
             step *= _BACKTRACK
         else:  # no trial passed
-            at_floor = _newton_decrement(features, targets, transform, z, grad) <= _EPS * loss
+            # The pairwise sum of N squares rounds by up to about ceil(log2 N) * eps * L
+            # (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 4).
+            floor = max(1, (features.shape[0] - 1).bit_length()) * _EPS * loss
+            at_floor = _newton_decrement(features, targets, transform, z, grad) <= floor
             termination = TERMINATION_AT_FLOOR if at_floor else TERMINATION_STALLED
             break
 
@@ -189,18 +199,25 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
     )
 
 
-def _direction(inverse, grad, grad_norm) -> tuple[np.ndarray, float]:
-    """The search direction ``H g`` and its slope ``g^T H g``.
+def _direction(inverse, grad, grad_norm, loss) -> tuple[np.ndarray, float, float]:
+    """The search direction ``H g``, its slope ``g^T H g`` and the line search's first step.
 
-    They are g and ``||g||^2`` before the first update and where that slope is not a finite positive number.
+    They are g and ``||g||^2`` before the first update and where that slope
+    is not a finite positive number.  Along ``H g`` the first step is 1.
+    Along g it is ``min(1, 2 L / ||g||^2)``, or 1 where that is not a
+    finite positive number: Polyak's step for a loss bounded below by 0,
+    where the one quadratic along -g that matches L and its slope bottoms
+    out at 0 (Polyak, *Introduction to Optimization*, sec. 5.3).
     """
     if inverse is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             direction = np.einsum("ij,j->i", inverse, grad)
             slope = float(np.einsum("i,i->", grad, direction))
         if slope > 0.0 and math.isfinite(slope):
-            return direction, slope
-    return grad, grad_norm * grad_norm
+            return direction, slope, 1.0
+    slope = grad_norm * grad_norm
+    polyak = 2.0 * loss / slope if slope > 0.0 else math.inf
+    return grad, slope, polyak if 0.0 < polyak < 1.0 else 1.0
 
 
 def _bfgs_update(inverse, s, y):

@@ -406,9 +406,9 @@ class TestBadInput:
             # Convex there, but the curvature overflows: no verdict rather than a refutation.
             ({}, ["verify", "--alpha", "1e200"], "the loss curvature is not finite at 1281 of 1281 grid points"),
             ({}, ["synth", "--n", "5", "--d", "2", "--noise", "1e308", "--out", "s.csv"], "must be finite"),
-            ({}, ["synth", "--n", "5", "--d", "2", "--out", ""], "has an empty name"),
-            ({}, ["synth", "--n", "5", "--d", "2", "--out", "."], "has an empty name"),
-            ({}, ["synth", "--n", "5", "--d", "2", "--out", "/"], "has an empty name"),
+            ({}, ["synth", "--n", "5", "--d", "2", "--out", ""], "error: --out '' has no file name\n"),
+            ({}, ["synth", "--n", "5", "--d", "2", "--out", "."], "error: --out '.' has no file name\n"),
+            ({}, ["synth", "--n", "5", "--d", "2", "--out", "/"], "error: --out '/' has no file name\n"),
             ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--alpha", "1e308"],
              "gradient norm at the starting point is inf"),
             ({"d.csv": "x,y\n1,2\n" + "1" * 200_000 + ",3\n"}, ["fit", "--data", "d.csv"],
