@@ -186,10 +186,6 @@ def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.nda
         return z, residual, float(np.sum(residual * residual))
 
 
-# A block of the Hessian's samples (128 KiB) stays in a core's L2 cache.
-_HESSIAN_BLOCK_ELEMENTS = 2**14
-
-
 def _gradient(features, transform, z, residual) -> np.ndarray:
     """Loss gradient ``sum_i 2 r_i g'(z_i) x_i`` from a point's response and residual.
 
@@ -215,21 +211,62 @@ def total_gradient(model: Model, dataset: Dataset) -> np.ndarray:
     return _gradient(dataset.features, model.transform, z, residual)
 
 
+# OpenBLAS runs a GEMM of m*n*k <= SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD
+# = 65,536 * 4 multiply-adds on one thread (interface/gemm.c), so a product
+# within this budget has the same bits at any OPENBLAS_NUM_THREADS.
+_GEMM_BUDGET = 2**18
+# A d = 1 Gram tile is a 1 x 1 product, which numpy hands to BLAS ddot, and
+# OpenBLAS splits a ddot above 10,000 terms across threads.
+_DOT_ROWS = 2**13
+
+
+def _tiles(n_features: int) -> tuple[int, list[slice]]:
+    """Rows per tile and the output column blocks of :func:`_gram`.
+
+    Each GEMM does ``d * rows * width <= _GEMM_BUDGET`` multiply-adds for a
+    block of ``width`` columns.  Up to d = 128 a tile has
+    ``_GEMM_BUDGET // d^2 >= 16`` rows (at most ``_DOT_ROWS``) and one block
+    of all d columns.  Shallower tiles spend more on each call than on its
+    work, so beyond d = 128 a tile has 64 rows (fewer past d = 1,024) and
+    the columns are split into near-equal blocks at least 2 wide: no
+    product is a matrix-vector one, which OpenBLAS threads by another rule.
+    """
+    rows = _GEMM_BUDGET // (n_features * n_features)
+    if rows >= 16:
+        return min(rows, _DOT_ROWS), [slice(0, n_features)]
+    rows = max(1, min(64, _GEMM_BUDGET // (4 * n_features)))
+    width = max(1, _GEMM_BUDGET // (n_features * rows))
+    blocks = -(-n_features // width)
+    edges = [n_features * block // blocks for block in range(blocks + 1)]
+    return rows, [slice(low, high) for low, high in zip(edges, edges[1:])]
+
+
+def _gram(features, weights) -> np.ndarray:
+    """``sum_i weights_i x_i x_i^T`` over the rows x_i of ``features``, as GEMM tiles.
+
+    Each tile of :func:`_tiles` rows is copied row-major, so the bits do not
+    depend on the layout of ``features``, and every GEMM stays within
+    ``_GEMM_BUDGET``, so OpenBLAS runs it on one thread and the bits do not
+    depend on the BLAS thread count (Goto & van de Geijn, "Anatomy of
+    high-performance matrix multiplication", 2008, on blocking).  The
+    weighted tile is a new array, so numpy calls GEMM and not SYRK.
+    """
+    n_samples, n_features = features.shape
+    rows, blocks = _tiles(n_features)
+    gram = np.zeros((n_features, n_features))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_samples, rows):
+            tile = np.ascontiguousarray(features[start : start + rows])
+            weighted = (tile * weights[start : start + rows, None]).T
+            for block in blocks:
+                gram[:, block] += weighted @ tile[:, block]
+    return gram
+
+
 def _hessian(features, targets, transform, z) -> np.ndarray:
     """Loss Hessian ``sum_i l''(z_i, y_i) x_i x_i^T`` at a point with response z.
 
-    The samples are taken in blocks of about ``_HESSIAN_BLOCK_ELEMENTS``
-    entries.  A block of column-major features, seen through ``features.T``,
-    holds each feature's samples contiguously, so einsum reduces each entry
-    as one contiguous dot product.  It calls no BLAS, as in
-    :func:`_gradient`, so the bits do not depend on the BLAS thread count.
+    One :func:`_gram` pass, weighted by the curvature; its bits do not
+    depend on the BLAS thread count.
     """
-    curvature = transform.curvature(z, targets)
-    n_samples, n_features = features.shape
-    rows = max(1, _HESSIAN_BLOCK_ELEMENTS // n_features)
-    hessian = np.zeros((n_features, n_features))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_samples, rows):
-            block = features.T[:, start : start + rows]
-            hessian += np.einsum("ji,ki->jk", block * curvature[start : start + rows], block)
-    return hessian
+    return _gram(features, transform.curvature(z, targets))

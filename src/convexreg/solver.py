@@ -20,6 +20,7 @@ from .loss import (
     _evaluate,
     _frozen,
     _gradient,
+    _gram,
     _hessian,
     _warn_if_outside_bound,
 )
@@ -301,13 +302,15 @@ def ols_fit(dataset: Dataset) -> np.ndarray:
 
     Solved with a symmetric positive-definite factorization; raises
     SingularSystemError (carrying the offending pivot index) when the
-    smallest pivot is not above 1e-12 of the largest.  Both products are
-    contiguous dot products of the column-major feature columns, reduced by
-    einsum without BLAS, so the bits do not depend on the BLAS thread count.
+    smallest pivot is not above 1e-12 of the largest.  ``X^T X`` is the
+    Hessian's kernel with all weights 1, GEMM tiles small enough that
+    OpenBLAS runs each on one thread; ``X^T y`` is a contiguous dot product
+    of each column-major feature column, reduced by einsum without BLAS.
+    So the bits do not depend on the BLAS thread count.
     """
-    columns = dataset.features.T
-    gram = np.einsum("ji,ki->jk", columns, columns)
-    rhs = np.einsum("ji,i->j", columns, dataset.targets)
+    features = dataset.features
+    gram = _gram(features, np.ones(features.shape[0]))
+    rhs = np.einsum("ji,i->j", features.T, dataset.targets)
     factor = _cholesky_with_pivots(gram)
     halfway = np.linalg.solve(factor, rhs)
     return np.linalg.solve(factor.T, halfway)

@@ -1,6 +1,11 @@
 """Tests for the composed squared loss and its derivatives."""
 
 import copy
+import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -21,7 +26,7 @@ from convexreg import (
     total_gradient,
     total_loss,
 )
-from convexreg.loss import _bound_violation, _evaluate
+from convexreg.loss import _bound_violation, _evaluate, _hessian, _tiles
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 
@@ -486,3 +491,89 @@ class TestDataTypes:
         assert (rows @ model.weights).tobytes() != z.tobytes()
         for layout in (np.ascontiguousarray, np.asfortranarray):
             assert model.predict(layout(rows)).tobytes() == CS11.evaluate(z).tobytes()
+
+
+# OpenBLAS runs a GEMM of at most SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD
+# multiply-adds on one thread (interface/gemm.c).
+ONE_THREAD_GEMM = 65_536 * 4
+
+# Prints the sha256 of the exact Hessian, under convex-sqrt curvature (>= 0)
+# and tanh curvature (of both signs), and of the least-squares solution, at
+# 2,000 samples for each width d.  At d = 50 and 101 a 2^22 multiply-add
+# budget, sixteen times the single-thread one, gives other bits at two threads.
+_GRAM_PROBE = textwrap.dedent(
+    """
+    import hashlib
+    import numpy as np
+    from convexreg import ConvexSqrtTransform, Dataset, TanhTransform, ols_fit
+    from convexreg.loss import _hessian
+
+    for d in (9, 50, 101, 600):
+        rng = np.random.default_rng(d)
+        dataset = Dataset(rng.normal(size=(2000, d)), rng.uniform(-2.5, 2.5, 2000))
+        z = dataset.features @ rng.uniform(-1.0, 1.0, d) / np.sqrt(d)
+        for transform in (ConvexSqrtTransform(1.0, 3.0), TanhTransform(1.4)):
+            hessian = _hessian(dataset.features, dataset.targets, transform, z)
+            print(d, hashlib.sha256(hessian.tobytes()).hexdigest())
+        print(d, hashlib.sha256(ols_fit(dataset).tobytes()).hexdigest())
+    """
+)
+
+
+def fsum_gram(features, weights):
+    """``sum_i weights_i x_i x_i^T`` with each entry summed exactly by math.fsum."""
+    d = features.shape[1]
+    products = [[math.fsum(weights * features[:, j] * features[:, k]) for k in range(d)] for j in range(d)]
+    return np.array(products)
+
+
+class TestHessianTiles:
+    """The exact Hessian is a sum of GEMM tiles that OpenBLAS runs on one thread."""
+
+    @pytest.mark.parametrize("d", [1, 9, 21, 101, 512, 513, 600])
+    def test_tiles_cover_each_pair_once_within_the_budget(self, d):
+        rows, blocks = _tiles(d)
+        n = 2 * rows + 3  # two full tiles and a short one
+        covered = np.zeros((n, d), dtype=int)
+        for start in range(0, n, rows):
+            tile_rows = min(rows, n - start)
+            for block in blocks:
+                covered[start : start + rows, block] += 1
+                width = len(range(d)[block])
+                assert d * tile_rows * width <= ONE_THREAD_GEMM
+                # A one-column block would be a matrix-vector product, threaded by another rule.
+                assert width >= 2 or d == 1
+        assert np.all(covered == 1)
+        if d == 1:
+            # A 1 x 1 product is a BLAS ddot, which OpenBLAS threads above 10,000 terms.
+            assert rows <= 10_000
+
+    @pytest.mark.parametrize("n, d", [(1000, 9), (300, 150)], ids=["one-block", "column-blocks"])
+    @pytest.mark.parametrize(
+        "transform", [ConvexSqrtTransform(1.0, 3.0), TanhTransform(1.4)], ids=["convex-sqrt", "tanh"]
+    )
+    def test_matches_an_exactly_summed_reference(self, n, d, transform):
+        rng = np.random.default_rng(d)
+        features, targets = rng.normal(size=(n, d)), rng.uniform(-2.5, 2.5, n)
+        z = features @ rng.uniform(-1.0, 1.0, d) / np.sqrt(d)
+        reference = fsum_gram(features, transform.curvature(z, targets))
+        row_major, column_major = (
+            _hessian(layout(features), targets, transform, z) for layout in (np.ascontiguousarray, np.asfortranarray)
+        )
+        assert np.abs(row_major - reference).max() <= 1e-13 * np.abs(reference).max()
+        # Every tile is copied row-major, so the bits do not depend on the layout.
+        assert row_major.tobytes() == column_major.tobytes()
+
+    def test_bits_independent_of_blas_threads(self):
+        outputs = []
+        for threads in ("1", "2", "3", "4"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _GRAM_PROBE],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 12
+        assert outputs == [outputs[0]] * len(outputs)
