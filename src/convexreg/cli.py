@@ -50,6 +50,7 @@ from .transforms import (
     TanhTransform,
     Transform,
     _TRANSFORMS,
+    _number,
     transform_from_dict,
     transform_to_dict,
 )
@@ -149,7 +150,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _load_model(path: str) -> Model:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Model(np.asarray(payload["weights"], dtype=float), transform_from_dict(payload["transform"]))
+    weights = [_number(w, f"weights[{i}]") for i, w in enumerate(payload["weights"])]
+    return Model(np.array(weights, dtype=float), transform_from_dict(payload["transform"]))
 
 
 def _cmd_fit(args) -> int:

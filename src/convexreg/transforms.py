@@ -44,6 +44,13 @@ def _count(value, name: str, low: int) -> int:
     return count
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float when it is a JSON number (an int or float, not a bool); else ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ConvexSqrtTransform:
     """Odd-symmetric saturating map ``z -> sign(z) * (Y*sqrt(alpha*|z| + 1) - Y)``.
@@ -179,4 +186,4 @@ def transform_from_dict(payload: dict) -> Transform:
     cls = _TRANSFORMS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown transform kind: {kind!r}")
-    return cls(**{f.name: float(payload[f.name]) for f in fields(cls)})
+    return cls(**{f.name: _number(payload.get(f.name), f.name) for f in fields(cls)})

@@ -249,6 +249,23 @@ class TestPredict:
         )
         assert out == "".join(repr(float(v)) + "\n" for v in predictions)
 
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"weights": [True, False, "3"], "transform": {"kind": "affine", "a": 1.0, "b": 0.0}},
+             "weights[0] must be a number, got True"),
+            ({"weights": [1.0], "transform": {"kind": "affine", "a": True, "b": "0"}}, "a must be a number, got True"),
+        ],
+        ids=["weights", "transform"],
+    )
+    def test_model_numbers_must_be_json_numbers(self, tmp_path, model, message):
+        (tmp_path / "m.json").write_text(json.dumps(model))
+        (tmp_path / "f.csv").write_text("x\n1\n")
+        code, out, err = run_cli("predict", "--model", tmp_path / "m.json", "--data", tmp_path / "f.csv")
+        assert code == 3
+        assert out == ""
+        assert message in err
+
     def test_shortest_round_trip_formatting(self, tmp_path):
         model = {"weights": [1.0], "transform": {"kind": "affine", "a": 1.0, "b": 0.1}}
         (tmp_path / "m.json").write_text(json.dumps(model))
@@ -280,9 +297,11 @@ class TestVerify:
         assert failed
         assert any(c["witness"] is not None for c in failed)
 
-    @pytest.mark.parametrize("alpha", ["1e-6", "1e-3"])
-    def test_convex_sqrt_passes_at_small_alpha(self, alpha):
-        code, out, err = run_cli("verify", "--alpha", alpha, "--samples", 4000)
+    @pytest.mark.parametrize(
+        "flags", [["--alpha", "1e-6"], ["--alpha", "1e-3"], ["--alpha", "1e12"], ["--y-bound", "1e6"]]
+    )
+    def test_convex_sqrt_passes_at_extreme_alpha_or_y_bound(self, flags):
+        code, out, err = run_cli("verify", *flags, "--samples", 4000)
         assert code == 0, err
         assert report_of(out)["results"]["all_passed"] is True
 
@@ -394,7 +413,7 @@ class TestBadInput:
             ({"d.csv": "a,t\n1,1e200\n2,-1e200\n"},
              ["fit", "--data", "d.csv", "--y-bound", "3"], "loss at the starting point is inf"),
             ({"d.csv": DATA}, ["fit", "--data", "d.csv", "--out", "absent/m.json"], "absent"),
-            ({"f.csv": "x\n1\n", "m.json": '{"weights": ["nan"], "transform": {"kind": "tanh", "scale": 1}}'},
+            ({"f.csv": "x\n1\n", "m.json": '{"weights": [NaN], "transform": {"kind": "tanh", "scale": 1}}'},
              ["predict", "--model", "m.json", "--data", "f.csv"], "weights must be finite"),
             ({"f.csv": "x\n1\n", "m.json": "[1.0]"},
              ["predict", "--model", "m.json", "--data", "f.csv"], "cannot load model"),

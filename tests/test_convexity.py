@@ -886,13 +886,25 @@ class TestVerificationBattery:
         ys = ["-1", "-0.5", "0", "0.5", "1"]
         assert names == [
             *(f"midpoint_convexity(y={y})" for y in ys),
-            *(f"derivative_monotonicity(y={y})" for y in ys),
             *(f"fd_hessian_psd(w_draw={draw})" for draw in range(3)),
             "nonconvex_witness_search",
         ]
 
-    def test_convex_sqrt_all_pass(self):
-        checks = verification_battery(ConvexSqrtTransform(1.0, 1.0), 1.0, 4000, seed=0)
+    # After (1, 1): in-bound settings where derivative_monotonicity_check
+    # fails on rounding while every check the battery runs passes.
+    @pytest.mark.parametrize(
+        "alpha, y_bound, n_samples",
+        [
+            (1.0, 1.0, 4000),
+            *((alpha, y_bound, 2000) for alpha, y_bound in [
+                (1e-6, 1e12), (1e-6, 1e50), (1.0, 1e6), (1.0, 1e12), (1.0, 1e50), (1e6, 1e6),
+                (1e6, 1e12), (1e6, 1e50), (1e12, 1.0), (1e12, 1e6), (1e12, 1e12), (1e12, 1e50),
+                (1e18, 1.0), (1e18, 1e6), (1e18, 1e12), (1e18, 1e50),
+            ]),
+        ],
+    )
+    def test_convex_sqrt_all_pass(self, alpha, y_bound, n_samples):
+        checks = verification_battery(ConvexSqrtTransform(alpha, y_bound), y_bound, n_samples, seed=0)
         assert all(c.passed for c in checks)
         witness = [c for c in checks if c.check_name == "nonconvex_witness_search"]
         assert len(witness) == 1
@@ -903,8 +915,10 @@ class TestVerificationBattery:
         assert all(c.passed for c in checks)
         assert any(c.check_name == "nonconvex_witness_search" for c in checks)
 
-    def test_tanh_fails(self):
-        checks = verification_battery(TANH1, 1.0, 4000, seed=0)
+    # The witness search refutes tanh at every scale here, so no tanh verdict rests on another check.
+    @pytest.mark.parametrize("y_bound", [1e-100, 1e-6, 1e-3, 1.0, 1e6])
+    def test_tanh_fails(self, y_bound):
+        checks = verification_battery(TanhTransform(y_bound), y_bound, 4000, seed=0)
         failed = [c for c in checks if not c.passed]
         assert failed
         assert any(c.check_name == "nonconvex_witness_search" for c in failed)

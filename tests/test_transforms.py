@@ -195,6 +195,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             transform_from_dict({"kind": "sigmoid"})
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"kind": "affine", "a": True, "b": 0.0}, "a"),
+            ({"kind": "affine", "a": 1.0, "b": "0"}, "b"),
+            ({"kind": "convex-sqrt", "alpha": [1.0], "y_bound": 1.0}, "alpha"),
+            ({"kind": "tanh"}, "scale"),
+        ],
+    )
+    def test_fields_must_be_json_numbers(self, payload, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a number"):
+            transform_from_dict(payload)
+
     @pytest.mark.parametrize("payload", [None, "tanh", ["tanh"], {"kind": ["tanh"]}])
     def test_malformed_payload(self, payload):
         # Model files are outside input, so a wrong JSON shape must be a ValueError the CLI reports.
