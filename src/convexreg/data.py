@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
 import operator
@@ -124,42 +123,36 @@ def _read_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, 
 _FIELD_LIMIT_LOCK = threading.Lock()
 
 
-@contextlib.contextmanager
-def _field_size_limit_at_least(size: int):
-    with _FIELD_LIMIT_LOCK:
-        limit = csv.field_size_limit(max(csv.field_size_limit(), size))
-        try:
-            yield
-        finally:
-            csv.field_size_limit(limit)
-
-
 def _scan_matrix(path: str | Path, has_header: bool) -> tuple[list[str] | None, np.ndarray]:
     """Read a CSV file row by row with ``csv.reader`` and ``float()``.
 
-    Blank rows are dropped but still counted, so errors name 1-based file
-    coordinates.  No field is longer than the file, so the reader's field
-    limit is raised to the file's size while it reads, and a long field
-    cannot hide a bad cell after it.  Each cell is converted once, in file
+    Every error names 1-based file coordinates, and its line is
+    ``csv.reader``'s count: LF, CRLF and CR each end a line, a row is
+    numbered by the last line it spans, and blank rows are dropped but
+    still counted.  A byte that is not UTF-8 is placed by the same count.
+    No field is longer than the file, so the reader's field limit is
+    raised to the file's size while it reads, and a long field cannot
+    hide a bad cell after it.  Each cell is converted once, in file
     order, so the first bad cell is the one named.
     """
     try:
-        with (
-            open(path, "r", encoding="utf-8", newline="") as handle,
-            _field_size_limit_at_least(os.fstat(handle.fileno()).st_size),
-        ):
+        with open(path, "r", encoding="utf-8", newline="") as handle, _FIELD_LIMIT_LOCK:
             reader = csv.reader(handle)
+            limit = csv.field_size_limit(max(csv.field_size_limit(), os.fstat(handle.fileno()).st_size))
             try:
-                rows = list(enumerate(reader, start=1))
+                rows = [(reader.line_num, row) for row in reader]
             except csv.Error as exc:
                 raise CsvParseError(f"{path}: line {reader.line_num}: {exc}") from None
+            finally:
+                csv.field_size_limit(limit)
     except UnicodeDecodeError:
         # The reader's offset is within one buffer; decode the whole file to place the byte.
         raw = Path(path).read_bytes()
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
+            prefix = raw[: exc.start].decode("utf-8")
+            line = prefix.count("\n") + prefix.count("\r") - prefix.count("\r\n") + 1
             raise CsvParseError(f"{path}: line {line}: byte {raw[exc.start]:#04x} is not UTF-8") from None
         raise
     rows = [(line_no, row) for line_no, row in rows if any(cell.strip() for cell in row)]
@@ -229,7 +222,7 @@ def _resolve_target_index(
 def load_csv(spec: DatasetSpec) -> Dataset:
     """Read a comma-separated numeric file into an immutable Dataset.
 
-    Accepts an optional header row, LF or CRLF endings, and "." decimals.
+    Accepts an optional header row, LF, CRLF or CR endings, and "." decimals.
     Errors carry 1-based file coordinates: ragged rows raise
     CsvParseError, unparsable or non-finite cells raise
     NonNumericCellError, and a bad ``target_column`` raises
@@ -247,7 +240,8 @@ def load_csv(spec: DatasetSpec) -> Dataset:
         with np.errstate(over="ignore", invalid="ignore"):
             mean = features.mean(axis=0)
             std = features.std(axis=0)
-        for column, value in enumerate(std, start=1):
+        # Name the column as the file numbers it, counting past the target.
+        for column, value in zip(np.delete(np.arange(1, matrix.shape[1] + 1), target_index), std):
             if value == 0.0:
                 reason = "has zero variance"
             elif not np.isfinite(value):

@@ -93,8 +93,13 @@ class TestLoadCsv:
             ("x,y\n1,2\nnan,1\n2,abc\n", 3, 1, "cell 'nan' is not finite"),
             ("x,y\n1,2\n2,abc\nnan,1\n", 3, 2, "cell 'abc' is not a number"),
             ("x,y\n1,2\n\n , \n3,inf\n", 5, 2, "cell 'inf' is not finite"),
+            ('"x\n1",y\n1,2\n3,abc\n', 4, 2, "cell 'abc' is not a number"),
+            ('x,y\n"1\n",2\n3,abc\n', 4, 2, "cell 'abc' is not a number"),
         ],
-        ids=["nan-then-abc", "abc-then-nan", "after-blank-lines"],
+        ids=[
+            "nan-then-abc", "abc-then-nan", "after-blank-lines",
+            "after-quoted-break-in-header", "after-quoted-break-in-row",
+        ],
     )
     def test_first_bad_cell_in_file_order_is_named(self, tmp_path, load, text, line, column, message):
         path = write(tmp_path, text)
@@ -104,11 +109,19 @@ class TestLoadCsv:
         assert str(err.value) == f"{path}: line {line}, column {column}: {message}"
 
     @both_loaders
-    def test_ragged_row_names_line(self, tmp_path, load):
-        path = write(tmp_path, "x,y\n1,2\n1,2,3\n")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,y\n1,2\n1,2,3\n", "line 3: expected 2 fields, found 3"),
+            ('"x\n1",y\n1,2\n3,4,5\n', "line 4: expected 2 fields, found 3"),
+        ],
+        ids=["plain", "after-quoted-break"],
+    )
+    def test_ragged_row_names_line(self, tmp_path, load, text, message):
+        path = write(tmp_path, text)
         with pytest.raises(CsvParseError) as err:
             load(path)
-        assert "line 3" in str(err.value)
+        assert str(err.value) == f"{path}: {message}"
 
     @both_loaders
     def test_header_width_must_match_rows(self, tmp_path, load):
@@ -252,10 +265,16 @@ class TestLoadCsv:
         assert np.all(np.abs(columns.var(axis=0) - 1.0) <= 1e-12)
         np.testing.assert_array_equal(dataset.features[:, 2], np.ones(50))
 
-    def test_zero_variance_column_rejected(self, tmp_path):
-        path = write(tmp_path, "a,b,target\n1,2,3\n1,5,6\n")
-        with pytest.raises(ValueError, match="zero variance"):
-            load_csv(DatasetSpec(path, standardize=True))
+    @pytest.mark.parametrize(
+        "text, target_column, column",
+        [("a,b,target\n1,2,3\n1,5,6\n", None, 1), ("y,a,b\n1,5,3\n2,5,4\n3,5,1\n", 0, 2)],
+        ids=["target-last", "target-first"],
+    )
+    def test_zero_variance_column_rejected(self, tmp_path, text, target_column, column):
+        path = write(tmp_path, text)
+        message = rf"^feature column {column} has zero variance and cannot be standardized$"
+        with pytest.raises(ValueError, match=message):
+            load_csv(DatasetSpec(path, target_column=target_column, standardize=True))
 
     def test_overflowing_std_rejected_quietly(self, tmp_path):
         path = write(tmp_path, "a,b,t\n1,1e308,2\n2,-1e308,3\n5,0,1\n")
@@ -265,9 +284,10 @@ class TestLoadCsv:
                 load_csv(DatasetSpec(path, standardize=True))
 
     @both_loaders
-    def test_non_utf8_file_named_with_line(self, tmp_path, load):
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_non_utf8_file_named_with_line(self, tmp_path, load, newline):
         path = tmp_path / "latin1.csv"
-        path.write_bytes(b"a,b\n" + b"1,2\n" * 5000 + b"3,\xe94\n")  # past the first read buffer
+        path.write_bytes(newline.join([b"a,b", *[b"1,2"] * 5000, b"3,\xe94", b""]))  # past the first read buffer
         with pytest.raises(CsvParseError, match=r"latin1\.csv: line 5002: byte 0xe9 is not UTF-8"):
             load(path)
 
