@@ -294,8 +294,8 @@ def _fd_hessian(dataset: Dataset, transform: Transform, w: np.ndarray) -> np.nda
             for k, step in enumerate((steps[i], -steps[i])):
                 point = w.copy()
                 point[i] = w[i] + step
-                z, residual, losses[2 * i + k] = _evaluate(dataset.features, dataset.targets, transform, point)
-                gradients.append(_gradient(dataset.features, transform, z, residual))
+                _, slope, losses[2 * i + k] = _evaluate(dataset.features, dataset.targets, transform, point)
+                gradients.append(_gradient(dataset.features, slope))
             hessian[:, i] = (gradients[0] - gradients[1]) / ((w[i] + steps[i]) - (w[i] - steps[i]))
     bad = np.flatnonzero(~np.isfinite(losses))
     if bad.size:

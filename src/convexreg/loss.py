@@ -111,9 +111,16 @@ def _response(features, weights) -> np.ndarray:
     Fits, :meth:`Model.predict` and synthetic targets all call it, so the
     same rows and weights give the same z bit for bit, whatever the
     caller's layout.  Column-major X makes the product a sum of columns
-    (Golub & Van Loan, *Matrix Computations*, sec. 1.1); the tests' thread
-    probes find its bits the same at one, two and four BLAS threads.  A
-    C-ordered X is copied first.
+    (Golub & Van Loan, *Matrix Computations*, sec. 1.1).  A C-ordered X is
+    copied first.
+
+    It is one BLAS GEMV, which OpenBLAS splits across threads above
+    ``_GEMV_BUDGET`` multiply-adds, so its bits hold across BLAS thread
+    counts only at some sizes.  The tests' thread probes find them the
+    same at one, two and four threads at 200,000 x 21, and they are the
+    same at 20,000 x 21 and 20,001 x 20; but one and two threads give
+    other bits at 20,001 x 50 (in the last row), 50,001 x 20, 50,001 x 50
+    and 100,001 x 100.
     """
     return np.asfortranarray(features, dtype=float) @ weights
 
@@ -128,9 +135,16 @@ def _residual(transform: Transform, z, y):
     return transform.evaluate(z) - y
 
 
-def _slope(transform: Transform, z, residual):
-    """``2 * r * g'(z)``, the one spelling of the loss slope in z, from a residual r."""
-    return 2.0 * residual * transform.derivative(z)
+def _residual_and_slope(transform: Transform, z, y):
+    """``g(z) - y`` and ``2 * (g(z) - y) * g'(z)``, the one spelling of the loss slope in z.
+
+    g and g' come from one call of the transform's ``_value_and_derivative``,
+    bit for bit as ``evaluate`` and ``derivative`` give them; every step is
+    out of place, as in :func:`_residual`.
+    """
+    value, derivative = transform._value_and_derivative(z)
+    residual = value - y
+    return residual, 2.0 * residual * derivative
 
 
 def loss_z(transform: Transform, z, y):
@@ -142,7 +156,7 @@ def loss_z(transform: Transform, z, y):
 
 def dloss_dz(transform: Transform, z, y):
     """Derivative of :func:`loss_z` in z: ``2 * (g(z) - y) * g'(z)``."""
-    return _slope(transform, z, _residual(transform, z, y))
+    return _residual_and_slope(transform, z, y)[1]
 
 
 def _bound_violation(transform: Transform, targets: np.ndarray) -> list[str]:
@@ -174,26 +188,19 @@ def _checked_weights(dataset: Dataset, w, name: str) -> np.ndarray:
 
 
 def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.ndarray, float]:
-    """Linear response ``z = X w``, residual ``g(z) - y`` and the summed squared loss.
+    """Linear response ``z = X w``, the loss slopes ``2 r_i g'(z_i)`` and the summed squared loss.
 
-    An overflowing loss comes back as inf or nan without a RuntimeWarning:
-    every caller judges it (NonFiniteLossError, a rejected trial).
+    The slopes are what :func:`_gradient` needs, from the same root or tanh
+    that gave g(z), so a fit's accepted trial hands its gradient over
+    without transforming z again.  An overflowing loss or slope comes back
+    as inf or nan without a RuntimeWarning: every caller judges it
+    (NonFiniteLossError, a rejected trial).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         z = _response(features, weights)
-        residual = _residual(transform, z, targets)
+        residual, slope = _residual_and_slope(transform, z, targets)
         # np.sum is pairwise over ascending sample index: reproducible bit-for-bit.
-        return z, residual, float(np.sum(residual * residual))
-
-
-def _gradient(features, transform, z, residual) -> np.ndarray:
-    """Loss gradient ``sum_i 2 r_i g'(z_i) x_i`` from a point's response and residual.
-
-    For column-major features each entry is one contiguous dot product of
-    a feature column with the slopes, with no N x d temporary and no BLAS
-    call, so the bits do not depend on the BLAS thread count.
-    """
-    return np.einsum("ji,i->j", features.T, _slope(transform, z, residual))
+        return z, slope, float(np.sum(residual * residual))
 
 
 def total_loss(model: Model, dataset: Dataset) -> float:
@@ -207,8 +214,61 @@ def total_gradient(model: Model, dataset: Dataset) -> np.ndarray:
     """Gradient of :func:`total_loss` in the weights."""
     weights = _checked_weights(dataset, model.weights, "the model's weight vector")
     _warn_if_outside_bound(model.transform, dataset.targets)
-    z, residual, _ = _evaluate(dataset.features, dataset.targets, model.transform, weights)
-    return _gradient(dataset.features, model.transform, z, residual)
+    slope = _evaluate(dataset.features, dataset.targets, model.transform, weights)[1]
+    return _gradient(dataset.features, slope)
+
+
+# OpenBLAS runs a GEMV of m*n < 2304 * GEMM_MULTITHREAD_THRESHOLD = 2,304 * 4
+# multiply-adds on one thread (interface/gemv.c), and a DDOT of at most
+# 10,000 terms, so a product below this budget has the same bits at any
+# OPENBLAS_NUM_THREADS.
+_GEMV_BUDGET = 2304 * 4
+# Wider blocks leave tiles too shallow to stream: at 20,000 x 600 on one
+# thread, blocks of 32 columns took 5.3 ms, of 128 11.3 ms, and one block of
+# all 600 22 ms.
+_GEMV_WIDTH = 32
+
+
+def _gemv_tiles(n_features: int) -> tuple[int, list[slice]]:
+    """Rows per tile and the column blocks of :func:`_gradient`.
+
+    The columns are split into the fewest near-equal blocks at most
+    ``_GEMV_WIDTH`` wide, and a tile has as many rows as keep
+    ``rows * width < _GEMV_BUDGET`` for the widest block: 438 rows at
+    d = 21, 287 at d = 600.
+    """
+    blocks = -(-n_features // _GEMV_WIDTH)
+    edges = [n_features * block // blocks for block in range(blocks + 1)]
+    rows = (_GEMV_BUDGET - 1) // -(-n_features // blocks)
+    return rows, [slice(low, high) for low, high in zip(edges, edges[1:])]
+
+
+def _gradient(features, slope) -> np.ndarray:
+    """``sum_i slope_i x_i`` over the rows x_i of ``features``, as one-thread GEMV tiles.
+
+    With the slopes of :func:`_evaluate` this is the loss gradient;
+    :func:`~convexreg.solver.ols_fit` takes ``X^T y`` from it too.  For each
+    column block of :func:`_gemv_tiles`, one ``matmul`` multiplies every
+    full tile of a strided view of the column-major features by its slice
+    of ``slope``, with no copy, and the partial sums are added over the tile
+    axis, then the short last tile.  Every GEMV stays within
+    ``_GEMV_BUDGET``, so OpenBLAS runs it on one thread, and the plan
+    depends only on the shape: the bits do not depend on the BLAS thread
+    count.  A C-ordered X is copied first, as in :func:`_response`, so they
+    do not depend on the caller's layout either.
+    """
+    features = np.asfortranarray(features, dtype=float)
+    n_samples, n_features = features.shape
+    rows, blocks = _gemv_tiles(n_features)
+    tiles = n_samples // rows
+    split = tiles * rows
+    head = slope[:split].reshape(tiles, rows, 1)
+    gradient = np.empty(n_features)
+    for block in blocks:
+        columns = features[:, block]
+        stacked = columns[:split].T.reshape(columns.shape[1], tiles, rows).transpose(1, 0, 2)
+        gradient[block] = np.matmul(stacked, head)[:, :, 0].sum(axis=0) + columns[split:].T @ slope[split:]
+    return gradient
 
 
 # OpenBLAS runs a GEMM of m*n*k <= SMP_THRESHOLD_MIN * GEMM_MULTITHREAD_THRESHOLD

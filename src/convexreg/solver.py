@@ -132,9 +132,12 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     below the loss's rounding could pass only by luck.  At loss 0 the rule
     admits every step, and trials stop below 1e-16.
 
-    One iteration costs one gradient reduction, which reuses the response
-    and residual of the trial point accepted last, O(d^2) work on H, and one
-    mat-vec and transform evaluation per trial.  A failed search builds K once.
+    One iteration costs one gradient reduction, of the loss slopes that the
+    trial point accepted last computed with its loss, O(d^2) work on H, and
+    per trial one mat-vec and one transform evaluation, which gives g and
+    g' together.  The gradient is a sum of GEMV tiles that OpenBLAS runs on
+    one thread (:func:`~convexreg.loss._gradient`).  A failed search builds
+    K once.
 
     Raises NonFiniteLossError when the loss, or the gradient norm, at the
     starting point is not finite: no step from there can be judged.
@@ -149,10 +152,10 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
 def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: SolverConfig) -> FitReport:
     """:func:`gd_fit`'s descent from a checked, finite ``w``; it issues no warning."""
     features, targets = dataset.features, dataset.targets
-    z, residual, loss = _evaluate(features, targets, transform, w)
+    z, slopes, loss = _evaluate(features, targets, transform, w)
     if not np.isfinite(loss):
         raise NonFiniteLossError(f"loss at the starting point is {loss!r}")
-    grad, grad_norm = _gradient_and_norm(features, transform, z, residual)
+    grad, grad_norm = _gradient_and_norm(features, slopes)
     if not np.isfinite(grad_norm):
         raise NonFiniteLossError(f"gradient norm at the starting point is {grad_norm!r}")
 
@@ -168,7 +171,7 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
 
         direction, slope, step = _direction(inverse, grad, grad_norm, loss)
         while step > _MIN_STEP and step * slope >= _EPS * loss:
-            w_try, z_try, residual_try, loss_try = _trial(features, targets, transform, w, direction, step)
+            w_try, z_try, slopes_try, loss_try = _trial(features, targets, transform, w, direction, step)
             # Strict decrease is required on top of the Armijo test: at the
             # floating-point floor the Armijo threshold rounds to loss itself,
             # which would otherwise accept zero-progress steps forever.
@@ -184,9 +187,9 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
             termination = TERMINATION_AT_FLOOR if at_floor else TERMINATION_STALLED
             break
 
-        grad_try, grad_norm = _gradient_and_norm(features, transform, z_try, residual_try)
+        grad_try, grad_norm = _gradient_and_norm(features, slopes_try)
         inverse = _bfgs_update(inverse, w_try - w, grad_try - grad)
-        w, z, residual, loss, grad = w_try, z_try, residual_try, loss_try, grad_try
+        w, z, loss, grad = w_try, z_try, loss_try, grad_try
         trace.append(loss)
         iterations += 1
 
@@ -242,7 +245,7 @@ def _bfgs_update(inverse, s, y):
 
 
 def _trial(features, targets, transform, w, direction, step):
-    """The trial point ``w - step * direction`` with its response, residual and loss.
+    """The trial point ``w - step * direction`` with its response, loss slopes and loss.
 
     Every trial is evaluated from scratch, never by updating z along
     ``X @ direction``: the carried z drifts, and the loss reported for the
@@ -252,10 +255,10 @@ def _trial(features, targets, transform, w, direction, step):
     return (w_try, *_evaluate(features, targets, transform, w_try))
 
 
-def _gradient_and_norm(features, transform, z, residual) -> tuple[np.ndarray, float]:
-    """The loss gradient and its 2-norm, which is inf, without a RuntimeWarning, when it overflows."""
+def _gradient_and_norm(features, slopes) -> tuple[np.ndarray, float]:
+    """The loss gradient from a point's slopes and its 2-norm, which is inf, without a RuntimeWarning, when it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = _gradient(features, transform, z, residual)
+        grad = _gradient(features, slopes)
         return grad, float(np.linalg.norm(grad))
 
 
@@ -304,13 +307,13 @@ def ols_fit(dataset: Dataset) -> np.ndarray:
     SingularSystemError (carrying the offending pivot index) when the
     smallest pivot is not above 1e-12 of the largest.  ``X^T X`` is the
     Hessian's kernel with all weights 1, GEMM tiles small enough that
-    OpenBLAS runs each on one thread; ``X^T y`` is a contiguous dot product
-    of each column-major feature column, reduced by einsum without BLAS.
-    So the bits do not depend on the BLAS thread count.
+    OpenBLAS runs each on one thread; ``X^T y`` is the gradient's kernel
+    with the targets as slopes, GEMV tiles within the same rule.  So the
+    bits do not depend on the BLAS thread count.
     """
     features = dataset.features
     gram = _gram(features, np.ones(features.shape[0]))
-    rhs = np.einsum("ji,i->j", features.T, dataset.targets)
+    rhs = _gradient(features, dataset.targets)
     factor = _cholesky_with_pivots(gram)
     halfway = np.linalg.solve(factor, rhs)
     return np.linalg.solve(factor.T, halfway)

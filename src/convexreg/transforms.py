@@ -8,6 +8,9 @@ convex in the model weights as long as every target lies inside
 contrast that breaks convexity.
 
 All evaluation methods are elementwise and accept floats or numpy arrays.
+Each transform's private ``_value_and_derivative(z)`` returns g(z) and
+g'(z) bit for bit as ``evaluate`` and ``derivative`` do, from one square
+root (convex-sqrt) or one tanh: the loss takes both at every trial point.
 Each transform owns its loss curvature in z, ``curvature(z, y)``, the
 second derivative ``2*g'(z)^2 + 2*(g(z)-y)*g''(z)`` whose sign decides
 whether the loss Hessian term ``value * x x^T`` is positive semidefinite
@@ -86,14 +89,25 @@ class ConvexSqrtTransform:
         return root
 
     def evaluate(self, z):
-        value = self._root(z)
-        value -= 1.0
-        value *= self.y_bound
-        # sign(z) * f(|z|) keeps odd symmetry exact in floating point.
-        return np.multiply(np.sign(z), value, out=value)[()]
+        return self._value_from(z, self._root(z))
 
     def derivative(self, z):
+        return self._derivative_from(self._root(z))
+
+    def _value_and_derivative(self, z):
+        """``(evaluate(z), derivative(z))`` bit for bit, from one :meth:`_root`."""
         root = self._root(z)
+        return self._value_from(z, root.copy()), self._derivative_from(root)
+
+    def _value_from(self, z, root):
+        """g(z), finished in place on ``root``, a :meth:`_root` of z."""
+        root -= 1.0
+        root *= self.y_bound
+        # sign(z) * f(|z|) keeps odd symmetry exact in floating point.
+        return np.multiply(np.sign(z), root, out=root)[()]
+
+    def _derivative_from(self, root):
+        """g'(z), finished in place on ``root``, a :meth:`_root` of z."""
         root *= 2.0
         return np.divide(self.y_bound * self.alpha, root, out=root)[()]
 
@@ -136,6 +150,10 @@ class AffineTransform:
     def derivative(self, z):
         return self.a + 0.0 * z
 
+    def _value_and_derivative(self, z):
+        """``(evaluate(z), derivative(z))``."""
+        return self.evaluate(z), self.derivative(z)
+
     def curvature(self, z, y):
         """Loss curvature in z, ``2*a^2`` for every y; the zero g'' term keeps a non-finite z or residual nan."""
         slope = self.derivative(z)
@@ -158,7 +176,12 @@ class TanhTransform:
         return self.scale * np.tanh(z)
 
     def derivative(self, z):
-        return self.scale * (1.0 - np.tanh(z) ** 2)
+        return self._value_and_derivative(z)[1]
+
+    def _value_and_derivative(self, z):
+        """``(evaluate(z), derivative(z))`` bit for bit, from one ``np.tanh``."""
+        th = np.tanh(z)
+        return self.scale * th, self.scale * (1.0 - th**2)
 
     def curvature(self, z, y):
         """Loss curvature; negative at some (z, y) with |y| <= scale, such as (1, -scale)."""

@@ -26,7 +26,7 @@ from convexreg import (
     total_gradient,
     total_loss,
 )
-from convexreg.loss import _bound_violation, _evaluate, _hessian, _tiles
+from convexreg.loss import _bound_violation, _evaluate, _gemv_tiles, _gradient, _hessian, _tiles
 
 CS11 = ConvexSqrtTransform(1.0, 1.0)
 
@@ -120,6 +120,25 @@ class TestInPlaceKernels:
         assert_same_value(slope, expected_slope)
         assert_same_value(z, before)
 
+    @pytest.mark.parametrize("name", KERNEL_INPUTS)
+    @pytest.mark.parametrize("t", [*KERNEL_TRANSFORMS, AffineTransform(2.0, 0.5), TanhTransform(1.5)], ids=repr)
+    def test_value_and_derivative_match_evaluate_and_derivative(self, t, name, monkeypatch):
+        # alpha = 1e308 with |z| >= 1e308 takes the root's overflow rescale.
+        z = KERNEL_INPUTS[name]
+        before = copy.deepcopy(z)
+        with np.errstate(all="ignore"):
+            expected = t.evaluate(z), t.derivative(z)
+            calls = []
+            for owner, attribute in ((np, "tanh"), (ConvexSqrtTransform, "_root")):
+                original = getattr(owner, attribute)
+                monkeypatch.setattr(owner, attribute, lambda *args, original=original: calls.append(0) or original(*args))
+            value, slope = t._value_and_derivative(z)
+        assert_same_value(value, expected[0])
+        assert_same_value(slope, expected[1])
+        assert_same_value(z, before)
+        # One root for convex-sqrt, one tanh for tanh, none for affine.
+        assert len(calls) == (0 if isinstance(t, AffineTransform) else 1)
+
     @pytest.mark.parametrize("y", [0.5, np.float64(-2.0), 3, np.linspace(-1.0, 1.0, 12).reshape(3, 4)],
                              ids=["float", "numpy-float", "int", "array"])
     @pytest.mark.parametrize("name", KERNEL_INPUTS)
@@ -150,7 +169,7 @@ class TestInPlaceKernels:
             with np.errstate(all="ignore"):
                 z = np.asfortranarray(features) @ w  # the column-major response, whatever the input layout
                 residual = t.evaluate(z) - targets
-                expected = (z, residual, float(np.sum(residual * residual)))
+                expected = (z, 2.0 * residual * t.derivative(z), float(np.sum(residual * residual)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an overflowing loss is inf without a RuntimeWarning
                 actual = _evaluate(features, targets, t, w)
@@ -576,4 +595,80 @@ class TestHessianTiles:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert len(outputs[0].splitlines()) == 12
+        assert outputs == [outputs[0]] * len(outputs)
+
+
+# OpenBLAS runs a GEMV of m*n < 2304 * GEMM_MULTITHREAD_THRESHOLD multiply-adds on one
+# thread (interface/gemv.c), and a DDOT of at most 10,000 terms (kernel/x86_64/ddot.c).
+ONE_THREAD_GEMV = 9_216
+
+# Prints the sha256 of X^T c for fixed slope vectors c, at the benchmark's
+# 200,000 x 21 and at odd N, where a short last tile is left over.  A single
+# X.T @ c over all 200,000 rows gives other bits at two threads.
+_GRADIENT_PROBE = textwrap.dedent(
+    """
+    import hashlib
+    import numpy as np
+    from convexreg.loss import _gradient
+
+    for n, d in ((200_000, 21), (200_001, 21), (20_001, 50), (100_001, 101)):
+        rng = np.random.default_rng(d)
+        features = np.asfortranarray(rng.normal(size=(n, d)))
+        gradient = _gradient(features, rng.normal(size=n))
+        print(n, d, hashlib.sha256(gradient.tobytes()).hexdigest())
+    """
+)
+
+
+class TestGradientTiles:
+    """The loss gradient X^T c is a sum of GEMV tiles that OpenBLAS runs on one thread."""
+
+    @pytest.mark.parametrize("d", [1, 9, 21, 32, 33, 50, 101, 600])
+    def test_tiles_cover_each_pair_once_within_the_budget(self, d):
+        rows, blocks = _gemv_tiles(d)
+        n = 2 * rows + 3  # two full tiles and a short one
+        covered = np.zeros((n, d), dtype=int)
+        for start in range(0, n, rows):
+            tile_rows = min(rows, n - start)
+            for block in blocks:
+                covered[start : start + rows, block] += 1
+                assert tile_rows * len(range(d)[block]) < ONE_THREAD_GEMV
+        assert np.all(covered == 1)
+        if d == 1:
+            # A one-column tile is a BLAS ddot, which OpenBLAS threads above 10,000 terms.
+            assert rows <= 10_000
+
+    @pytest.mark.parametrize("d", [1, 9, 21, 50, 101, 600])
+    def test_kernel_adds_each_product_once(self, d):
+        # Small integers: every partial sum is exact, so a product counted twice or missed shows.
+        rng = np.random.default_rng(d)
+        n = 2 * _gemv_tiles(d)[0] + 3
+        features, slope = rng.integers(-8, 9, (n, d)), rng.integers(-8, 9, n)
+        assert _gradient(np.asfortranarray(features, dtype=float), slope.astype(float)).tolist() == (
+            features.T @ slope
+        ).tolist()
+
+    @pytest.mark.parametrize("d", [1, 9, 21, 50, 101, 600])
+    def test_matches_an_exactly_summed_reference(self, d):
+        rng = np.random.default_rng(d)
+        n = 5_003
+        features, slope = rng.normal(size=(n, d)), rng.normal(size=n)
+        reference = np.array([math.fsum(features[:, j] * slope) for j in range(d)])
+        row_major, column_major = (_gradient(layout(features), slope) for layout in (np.ascontiguousarray, np.asfortranarray))
+        assert np.abs(column_major - reference).max() <= 1e-13 * np.abs(reference).max()
+        # A row-major X is copied column-major first, so the bits do not depend on the layout.
+        assert row_major.tobytes() == column_major.tobytes()
+
+    def test_bits_independent_of_blas_threads(self):
+        outputs = []
+        for threads in ("1", "2", "3", "4"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _GRADIENT_PROBE],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 4
         assert outputs == [outputs[0]] * len(outputs)

@@ -325,7 +325,7 @@ _THREAD_PROBE = textwrap.dedent(
     import json
     import numpy as np
     from convexreg import ConvexSqrtTransform, Dataset, Model, SolverConfig, SynthSpec
-    from convexreg import gd_fit, generate_synthetic, ols_fit, total_gradient
+    from convexreg import dloss_dz, gd_fit, generate_synthetic, ols_fit, total_gradient
     from convexreg.loss import _gradient, _hessian
     from convexreg.solver import _newton_decrement
 
@@ -338,7 +338,7 @@ _THREAD_PROBE = textwrap.dedent(
     print(total_gradient(model, dataset).tobytes().hex())
     z = dataset.features @ model.weights
     print(_hessian(dataset.features, dataset.targets, transform, z).tobytes().hex())
-    grad = _gradient(dataset.features, transform, z, transform.evaluate(z) - dataset.targets)
+    grad = _gradient(dataset.features, dloss_dz(transform, z, dataset.targets))
     print(_newton_decrement(dataset.features, dataset.targets, transform, z, grad).hex())
     report = gd_fit(dataset, transform, np.zeros(21), SolverConfig(max_iters=3))
     print(json.dumps(report.to_dict()))
@@ -386,8 +386,8 @@ class TestReproducibility:
 
 def slope_at(features, targets, transform, w, direction):
     """``g^T H g``: the gradient at w times a trial's direction ``H g``."""
-    z, residual, _ = solver._evaluate(features, targets, transform, w)
-    return float(np.einsum("i,i->", solver._gradient(features, transform, z, residual), direction))
+    slopes = solver._evaluate(features, targets, transform, w)[1]
+    return float(np.einsum("i,i->", solver._gradient(features, slopes), direction))
 
 
 def logged_fit(monkeypatch, dataset, transform, w0):
@@ -438,8 +438,8 @@ class TestRoundingFloor:
         rng = np.random.default_rng(31)
         features, targets = rng.normal(size=(300, 4)), rng.normal(size=300)
         transform, w = AffineTransform(1.5, 0.2), rng.normal(size=4)
-        z, residual, loss = solver._evaluate(features, targets, transform, w)
-        grad = solver._gradient(features, transform, z, residual)
+        z, slopes, loss = solver._evaluate(features, targets, transform, w)
+        grad = solver._gradient(features, slopes)
         best = np.linalg.lstsq(features, (targets - 0.2) / 1.5, rcond=None)[0]
         remaining = loss - solver._evaluate(features, targets, transform, best)[2]
         decrement = solver._newton_decrement(features, targets, transform, z, grad)
@@ -449,16 +449,16 @@ class TestRoundingFloor:
         rng = np.random.default_rng(32)
         column = rng.normal(size=(200, 1))
         features, targets = np.hstack([column, column]), rng.normal(size=200)
-        z, residual, _ = solver._evaluate(features, targets, CS11, np.array([0.3, -0.1]))
-        grad = solver._gradient(features, CS11, z, residual)
+        z, slopes, _ = solver._evaluate(features, targets, CS11, np.array([0.3, -0.1]))
+        grad = solver._gradient(features, slopes)
         assert solver._newton_decrement(features, targets, CS11, z, grad) == np.inf
 
     def test_non_finite_hessian_has_no_decrement(self):
         # x^2 = 1e400 overflows, so the Hessian is inf while z, the loss and the gradient are finite.
         features, targets = np.array([[1e200]]), np.array([0.5])
         transform = TanhTransform(1.0)
-        z, residual, _ = solver._evaluate(features, targets, transform, np.array([1e-200]))
-        grad = solver._gradient(features, transform, z, residual)
+        z, slopes, _ = solver._evaluate(features, targets, transform, np.array([1e-200]))
+        grad = solver._gradient(features, slopes)
         assert np.isfinite(grad).all()
         assert solver._newton_decrement(features, targets, transform, z, grad) == np.inf
 
