@@ -204,10 +204,17 @@ def _evaluate(features, targets, transform, weights) -> tuple[np.ndarray, np.nda
 
 
 def total_loss(model: Model, dataset: Dataset) -> float:
-    """Cumulative squared loss over the dataset."""
+    """Cumulative squared loss over the dataset.
+
+    It is the loss :func:`_evaluate` returns, bit for bit, without the
+    derivative and slopes that only a gradient needs; an overflow gives inf
+    without a RuntimeWarning.
+    """
     weights = _checked_weights(dataset, model.weights, "the model's weight vector")
     _warn_if_outside_bound(model.transform, dataset.targets)
-    return _evaluate(dataset.features, dataset.targets, model.transform, weights)[2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _response(dataset.features, weights)
+        return float(np.sum(loss_z(model.transform, z, dataset.targets)))
 
 
 def total_gradient(model: Model, dataset: Dataset) -> np.ndarray:

@@ -1,8 +1,11 @@
 """BFGS quasi-Newton descent with backtracking line search, plus closed-form OLS.
 
-A search along the gradient starts at Polyak's step ``min(1, 2 L / ||g||^2)``,
-which a loss bounded below by 0 allows; a search along the BFGS direction
-starts at 1.  Convexity of the composed loss is what makes this solver globally
+The descent works in column-scaled coordinates: P = diag(p) with
+``p_j = 1 / sum_i x_ij^2``.  A search along the scaled gradient ``-P g``
+starts at Polyak's step ``min(1, 2 L / g^T P g)``, which a loss bounded
+below by 0 allows, and the first BFGS estimate is
+``(s^T y / y^T P y) P``; a search along the BFGS direction starts at 1.
+Convexity of the composed loss is what makes this solver globally
 reliable: with the square-root transform and in-bound targets, every
 restart reaches the same optimal loss value.
 """
@@ -106,13 +109,16 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     Each iteration searches along ``-H g`` from the step s = 1, where g is
     the gradient and H the BFGS estimate of the inverse loss Hessian, built
     from the steps and gradients the fit already has (Nocedal & Wright,
-    *Numerical Optimization*, ch. 6).  Before the first update, and
-    wherever the slope ``g^T H g`` is not a finite positive number, it
-    searches along ``-g`` with slope ``||g||^2`` from the step
-    ``s = min(1, 2 L / ||g||^2)``, or 1 where that is not a finite positive
-    number: the loss is a sum of squares, so it cannot fall below 0, and
-    this is where the quadratic along -g that matches L and its slope
-    reaches 0 (Polyak's step).  The step is halved until
+    *Numerical Optimization*, ch. 6).  The descent starts from the columns'
+    scale P = diag(p), ``p_j = 1 / sum_i x_ij^2`` (1 where that is not a
+    finite positive number, as for a zero column), computed once per call.
+    Before the first update, and wherever the slope ``g^T H g`` is not a
+    finite positive number, it searches along ``-P g`` with slope
+    ``g^T P g`` from the step ``s = min(1, 2 L / g^T P g)``, or 1 where that
+    is not a finite positive number: the loss is a sum of squares, so it
+    cannot fall below 0, and this is where the quadratic along -P g that
+    matches L and its slope reaches 0 (Polyak's step).  The first update
+    starts from ``H = (s^T y / y^T P y) P``.  The step is halved until
     the Armijo test ``L(w - s*H g) <= L(w) - 1e-4 * s * g^T H g`` passes,
     so the loss trace is nonincreasing.  Terminations:
 
@@ -137,7 +143,7 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
     per trial one mat-vec and one transform evaluation, which gives g and
     g' together.  The gradient is a sum of GEMV tiles that OpenBLAS runs on
     one thread (:func:`~convexreg.loss._gradient`).  A failed search builds
-    K once.
+    K once, and P costs one pass over X per call.
 
     Raises NonFiniteLossError when the loss, or the gradient norm, at the
     starting point is not finite: no step from there can be judged.
@@ -146,11 +152,11 @@ def gd_fit(dataset: Dataset, transform: Transform, w0, config: SolverConfig | No
         config = SolverConfig()
     w = _checked_weights(dataset, w0, "w0")
     _warn_if_outside_bound(transform, dataset.targets)
-    return _descend(dataset, transform, w, config)
+    return _descend(dataset, transform, w, config, _column_scale(dataset.features)[0])
 
 
-def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: SolverConfig) -> FitReport:
-    """:func:`gd_fit`'s descent from a checked, finite ``w``; it issues no warning."""
+def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: SolverConfig, scale) -> FitReport:
+    """:func:`gd_fit`'s descent from a checked, finite ``w``, with P's diagonal ``scale``; it issues no warning."""
     features, targets = dataset.features, dataset.targets
     z, slopes, loss = _evaluate(features, targets, transform, w)
     if not np.isfinite(loss):
@@ -169,7 +175,7 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
             termination = TERMINATION_CONVERGED
             break
 
-        direction, slope, step = _direction(inverse, grad, grad_norm, loss)
+        direction, slope, step = _direction(inverse, grad, scale, loss)
         while step > _MIN_STEP and step * slope >= _EPS * loss:
             w_try, z_try, slopes_try, loss_try = _trial(features, targets, transform, w, direction, step)
             # Strict decrease is required on top of the Armijo test: at the
@@ -188,7 +194,7 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
             break
 
         grad_try, grad_norm = _gradient_and_norm(features, slopes_try)
-        inverse = _bfgs_update(inverse, w_try - w, grad_try - grad)
+        inverse = _bfgs_update(inverse, w_try - w, grad_try - grad, scale)
         w, z, loss, grad = w_try, z_try, loss_try, grad_try
         trace.append(loss)
         iterations += 1
@@ -203,45 +209,61 @@ def _descend(dataset: Dataset, transform: Transform, w: np.ndarray, config: Solv
     )
 
 
-def _direction(inverse, grad, grad_norm, loss) -> tuple[np.ndarray, float, float]:
+def _direction(inverse, grad, scale, loss) -> tuple[np.ndarray, float, float]:
     """The search direction ``H g``, its slope ``g^T H g`` and the line search's first step.
 
-    They are g and ``||g||^2`` before the first update and where that slope
-    is not a finite positive number.  Along ``H g`` the first step is 1.
-    Along g it is ``min(1, 2 L / ||g||^2)``, or 1 where that is not a
-    finite positive number: Polyak's step for a loss bounded below by 0,
-    where the one quadratic along -g that matches L and its slope bottoms
-    out at 0 (Polyak, *Introduction to Optimization*, sec. 5.3).
+    They are ``P g`` and ``g^T P g``, with P = diag(``scale``), before the
+    first update and where that slope is not a finite positive number.
+    Along ``H g`` the first step is 1.  Along ``P g`` it is
+    ``min(1, 2 L / g^T P g)``, or 1 where that is not a finite positive
+    number: Polyak's step for a loss bounded below by 0, where the one
+    quadratic along -P g that matches L and its slope bottoms out at 0
+    (Polyak, *Introduction to Optimization*, sec. 5.3).
     """
-    if inverse is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if inverse is not None:
             direction = np.einsum("ij,j->i", inverse, grad)
             slope = float(np.einsum("i,i->", grad, direction))
-        if slope > 0.0 and math.isfinite(slope):
-            return direction, slope, 1.0
-    slope = grad_norm * grad_norm
+            if slope > 0.0 and math.isfinite(slope):
+                return direction, slope, 1.0
+        direction = scale * grad
+        slope = float(np.einsum("i,i->", grad, direction))
     polyak = 2.0 * loss / slope if slope > 0.0 else math.inf
-    return grad, slope, polyak if 0.0 < polyak < 1.0 else 1.0
+    return direction, slope, polyak if 0.0 < polyak < 1.0 else 1.0
 
 
-def _bfgs_update(inverse, s, y):
+def _bfgs_update(inverse, s, y, scale):
     """``(I - r s y^T) H (I - r y s^T) + r s s^T``, ``r = 1 / s^T y``: H after step s changed g by y.
 
-    That is Nocedal & Wright's eq. 6.17, from ``H = (s^T y / y^T y) I`` at
-    the first update (eq. 6.20).  H is returned unchanged where ``s^T y``
-    is not a finite positive number.  Products are reduced by einsum
-    without BLAS, so the bits do not depend on the BLAS thread count.
+    That is Nocedal & Wright's eq. 6.17, from ``H = (s^T y / y^T P y) P``,
+    P = diag(``scale``), at the first update: their eq. 6.20 in the
+    coordinates that P scales.  H is returned unchanged where ``s^T y`` is
+    not a finite positive number.  Products are reduced by einsum without
+    BLAS, so the bits do not depend on the BLAS thread count.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sy = float(np.einsum("i,i->", s, y))
         if not (sy > 0.0 and math.isfinite(sy)):
             return inverse
         if inverse is None:
-            inverse = np.eye(s.size) * (sy / float(np.einsum("i,i->", y, y)))
+            inverse = np.diag(scale * (sy / float(np.einsum("i,i,i->", y, scale, y))))
         hy = np.einsum("ij,j->i", inverse, y)
         r = 1.0 / sy
         ss = (r * r * float(np.einsum("i,i->", y, hy)) + r) * np.multiply.outer(s, s)
         return inverse - r * (np.multiply.outer(s, hy) + np.multiply.outer(hy, s)) + ss
+
+
+def _column_scale(features) -> tuple[np.ndarray, np.ndarray]:
+    """P's diagonal ``p_j = 1 / sum_i x_ij^2`` and the column sums ``sum_i x_ij^2`` it comes from.
+
+    ``p_j`` is 1 where the sum is 0 or not finite, or its inverse
+    overflows.  The sums are one einsum pass: no (N, d) temporary and no
+    BLAS call, so the bits do not depend on the BLAS thread count.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        squares = np.einsum("ij,ij->j", features, features)
+        scale = 1.0 / squares
+    return np.where(np.isfinite(scale) & (scale > 0.0), scale, 1.0), squares
 
 
 def _trial(features, targets, transform, w, direction, step):
@@ -267,11 +289,15 @@ def _newton_decrement(features, targets, transform, z, grad) -> float:
 
     H is the exact loss Hessian.  Near a minimum the decrement is how much
     further the loss can fall (Boyd & Vandenberghe, *Convex Optimization*,
-    sec. 9.5.1).
+    sec. 9.5.1).  A weight whose row of H and gradient entry are exactly 0,
+    such as an all-zero feature column's, is one the quadratic model does
+    not depend on, so it is left out, as the pseudo-inverse of H would.
     """
     hessian = _hessian(features, targets, transform, z)
     if not np.all(np.isfinite(hessian)):
         return math.inf
+    used = hessian.any(axis=0) | (grad != 0.0)
+    hessian, grad = hessian[np.ix_(used, used)], grad[used]
     try:
         factor = _cholesky_with_pivots(hessian)
     except SingularSystemError:
@@ -330,19 +356,22 @@ def multi_restart_fit(
     Starting points are i.i.d. uniform on ``[-r, r]^d`` with
     ``r = 10 / (1 + max feature column norm)``, seeded from
     ``config.seed + restart_index`` so each restart is reproducible on its
-    own.  Reports are returned in restart order.  Under a convex objective
-    the final losses agree; a spread of final losses is the signature of a
-    nonconvex landscape.
+    own.  The column sums of squares behind r also give the column scale
+    that every restart's descent starts from, computed once.  Reports are
+    returned in restart order.  Under a convex objective the final losses
+    agree; a spread of final losses is the signature of a nonconvex
+    landscape.
     """
     if config is None:
         config = SolverConfig()
     restarts = _count(restarts, "restarts", 2)
-    radius = 10.0 / (1.0 + float(np.linalg.norm(dataset.features, axis=0).max()))
+    scale, squares = _column_scale(dataset.features)
+    radius = 10.0 / (1.0 + math.sqrt(float(squares.max())))
     # Warned once here; each restart descends without repeating it.
     _warn_if_outside_bound(transform, dataset.targets)
     reports = []
     for index in range(restarts):
         rng = np.random.default_rng(config.seed + index)
         w0 = rng.uniform(-radius, radius, dataset.n_features)
-        reports.append(_descend(dataset, transform, w0, config))
+        reports.append(_descend(dataset, transform, w0, config, scale))
     return reports

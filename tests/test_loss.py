@@ -257,6 +257,25 @@ class TestTotalLoss:
         with pytest.raises(DimensionMismatchError):
             total_loss(Model(np.array([1.0]), CS11), dataset)
 
+    @pytest.mark.parametrize(
+        "t, scale, overflows",
+        [
+            (CS11, 1.0, False),
+            (ConvexSqrtTransform(1e308, 1.0), 1.0, True),  # alpha |z| overflows
+            (TanhTransform(1.0), 1e200, False),
+            (AffineTransform(2.0, 0.5), 1.0, False),
+            (AffineTransform(2.0, 0.5), 1e200, True),  # the squared residual overflows
+        ],
+        ids=["convex-sqrt", "convex-sqrt-alpha-1e308", "tanh", "affine", "affine-overflowing"],
+    )
+    def test_is_the_fit_loss_bit_for_bit(self, t, scale, overflows):
+        rng = np.random.default_rng(17)
+        dataset = Dataset(rng.normal(size=(700, 3)), rng.uniform(-1.0, 1.0, 700))
+        w = scale * rng.normal(size=3)
+        loss = total_loss(Model(w, t), dataset)
+        assert loss == _evaluate(dataset.features, dataset.targets, t, w)[2]
+        assert (loss == math.inf) == overflows
+
 
 class TestTotalGradient:
     @pytest.mark.parametrize("t", [CS11, ConvexSqrtTransform(10.0, 3.0), AffineTransform(2.0, 0.5),

@@ -308,7 +308,8 @@ class TestMultiRestart:
         dataset, _ = make_realizable(seed=316)
         config = SolverConfig(seed=8)
         reports = multi_restart_fit(dataset, CS11, 3, config)
-        radius = 10.0 / (1.0 + float(np.linalg.norm(dataset.features, axis=0).max()))
+        # The largest column norm, from the column sums of squares that also give P.
+        radius = 10.0 / (1.0 + math.sqrt(np.einsum("ij,ij->j", dataset.features, dataset.features).max()))
         for index in range(3):
             rng = np.random.default_rng(config.seed + index)
             w0 = rng.uniform(-radius, radius, dataset.n_features)
@@ -560,15 +561,22 @@ def plain_gradient(dataset, transform, w):
     return [float(v) for v in total_gradient(Model(np.asarray(w), transform), dataset)]
 
 
+def plain_scale(dataset):
+    """P's diagonal, ``1 / sum_i x_ij^2`` per column, in plain floats."""
+    return [1.0 / sum(x * x for x in column) for column in dataset.features.T.tolist()]
+
+
 class TestBfgsDirection:
     """Each line search runs along ``-H g``, with H the BFGS inverse-Hessian estimate, from step 1.
 
-    Where it runs along ``-g`` instead, it starts at Polyak's step ``min(1, 2 L / ||g||^2)``.
+    Where it runs along the scaled gradient ``-P g`` instead, with P = diag(1 / ||x_j||^2)
+    over the feature columns x_j, it starts at Polyak's step ``min(1, 2 L / g^T P g)``.
     """
 
     def test_second_search_follows_the_bfgs_direction(self, monkeypatch):
         rng = np.random.default_rng(41)
-        dataset = Dataset(rng.normal(size=(60, 3)), rng.normal(size=60))
+        features = rng.normal(size=(60, 3)) * [1.0, 3.0, 0.5]
+        dataset = Dataset(features, features @ [1.0, -0.5, 2.0] + rng.normal(size=60))
         transform = AffineTransform(1.5, 0.2)
         events = recorded_searches(monkeypatch)
         report = gd_fit(dataset, transform, np.zeros(3), SolverConfig(max_iters=2))
@@ -576,18 +584,21 @@ class TestBfgsDirection:
         first, second = searches(events)[:2]
         w0, w1 = [float(v) for v in first[0][0]], [float(v) for v in second[0][0]]
         g0, g1 = plain_gradient(dataset, transform, w0), plain_gradient(dataset, transform, w1)
-        # Before the first update the search runs along the gradient, from Polyak's step.
-        assert first[0][1].tolist() == pytest.approx(g0, rel=1e-12)
+        p = plain_scale(dataset)
+        assert max(p) > 10.0 * min(p)  # P is not a multiple of I
+        # Before the first update the search runs along the scaled gradient, from Polyak's step in P's metric.
+        pg0 = [a * b for a, b in zip(p, g0)]
+        assert first[0][1].tolist() == pytest.approx(pg0, rel=1e-12)
         loss0 = sum((1.5 * 0.0 + 0.2 - y) ** 2 for y in dataset.targets.tolist())  # z = X w0 = 0
-        polyak = 2.0 * loss0 / sum(g * g for g in g0)
+        polyak = 2.0 * loss0 / sum(a * b for a, b in zip(g0, pg0))
         assert polyak < 1.0 and first[0][2] == pytest.approx(polyak, rel=1e-12)
-        # Nocedal & Wright eq. 6.17 from H0 = (s^T y / y^T y) I (eq. 6.20), in plain floats.
+        # Nocedal & Wright eq. 6.17 from H0 = (s^T y / y^T P y) P (eq. 6.20 in P's metric), in plain floats.
         s = [b - a for a, b in zip(w0, w1)]
         y = [b - a for a, b in zip(g0, g1)]
-        sy, yy = sum(a * b for a, b in zip(s, y)), sum(b * b for b in y)
+        sy, ypy = sum(a * b for a, b in zip(s, y)), sum(b * q * b for b, q in zip(y, p))
         rho, n = 1.0 / sy, len(s)
         left = [[(i == j) - rho * s[i] * y[j] for j in range(n)] for i in range(n)]
-        h0_right = [[(sy / yy) * ((i == j) - rho * y[i] * s[j]) for j in range(n)] for i in range(n)]
+        h0_right = [[(sy / ypy) * p[i] * ((i == j) - rho * y[i] * s[j]) for j in range(n)] for i in range(n)]
         h1 = [
             [sum(left[i][k] * h0_right[k][j] for k in range(n)) + rho * s[i] * s[j] for j in range(n)]
             for i in range(n)
@@ -611,12 +622,12 @@ class TestBfgsDirection:
     )
     @pytest.mark.parametrize("inverse", [None, np.array([[2.0, 0.5], [0.5, 1.0]])], ids=["first", "later"])
     def test_curvature_condition_failure_skips_the_update(self, s, y, inverse):
-        assert solver._bfgs_update(inverse, np.array(s), np.array(y)) is inverse
+        assert solver._bfgs_update(inverse, np.array(s), np.array(y), np.array([0.5, 2.0])) is inverse
 
     @pytest.mark.parametrize("inverse", [None, np.array([[2.0, 0.5, 0.0], [0.5, 1.0, -0.25], [0.0, -0.25, 3.0]])])
     def test_update_meets_the_secant_equation_and_stays_symmetric(self, inverse):
         s, y = np.array([0.3, -1.2, 0.7]), np.array([0.5, -0.9, 1.1])
-        updated = solver._bfgs_update(inverse, s, y)
+        updated = solver._bfgs_update(inverse, s, y, np.array([0.5, 2.0, 0.125]))
         np.testing.assert_allclose(updated @ y, s, rtol=1e-12)
         assert np.array_equal(updated, updated.T)
         assert np.all(np.linalg.eigvalsh(updated) > 0.0)
@@ -626,44 +637,86 @@ class TestBfgsDirection:
         [-np.eye(2), np.zeros((2, 2)), np.full((2, 2), np.nan), np.full((2, 2), 1e308)],
         ids=["negative-definite", "zero", "nan", "overflowing"],
     )
-    def test_non_descent_direction_falls_back_to_the_gradient(self, inverse):
-        grad = np.array([3.0, 4.0])
-        direction, slope, step = solver._direction(inverse, grad, 5.0, 10.0)
-        assert direction is grad and slope == 25.0 and step == 2.0 * 10.0 / 25.0
+    def test_non_descent_direction_falls_back_to_the_scaled_gradient(self, inverse):
+        grad, scale = np.array([3.0, 4.0]), np.array([0.5, 2.0])
+        direction, slope, step = solver._direction(inverse, grad, scale, 10.0)
+        assert direction.tolist() == [1.5, 8.0] and slope == 36.5 and step == 2.0 * 10.0 / 36.5
 
     @pytest.mark.parametrize(
-        "grad_norm, loss",
+        "grad, loss",
         [
-            (5.0, 100.0),  # 2 L / ||g||^2 = 8: capped at 1
+            (5.0, 100.0),  # 2 L / g^T P g = 8: capped at 1
             (5.0, 12.5),  # exactly 1
-            (1e200, 1.0),  # ||g||^2 overflows to inf, so 2 L / ||g||^2 = 0
-            (1e-170, 1.0),  # ||g||^2 underflows to 0
+            (1e200, 1.0),  # g^T P g overflows to inf, so 2 L / g^T P g = 0
+            (1e-170, 1.0),  # g^T P g underflows to 0
             (5.0, 0.0),  # a zero loss gives a zero step
-            (1e-10, 1e300),  # 2 L / ||g||^2 overflows to inf
+            (1e-10, 1e300),  # 2 L / g^T P g overflows to inf
         ],
-        ids=["capped", "one", "norm-squared-overflows", "norm-squared-underflows", "zero-loss", "ratio-overflows"],
+        ids=["capped", "one", "slope-overflows", "slope-underflows", "zero-loss", "ratio-overflows"],
     )
-    def test_gradient_step_is_one_where_polyak_is_not_below_one(self, grad_norm, loss):
-        grad = np.array([grad_norm, 0.0])
-        direction, slope, step = solver._direction(None, grad, grad_norm, loss)
-        assert direction is grad and slope == grad_norm * grad_norm and step == 1.0
+    def test_scaled_gradient_step_is_one_where_polyak_is_not_below_one(self, grad, loss):
+        # P's entry 1 is the one a zero or overflowing column gets.
+        direction, slope, step = solver._direction(None, np.array([grad, 0.0]), np.array([1.0, 0.25]), loss)
+        assert direction.tolist() == [grad, 0.0] and slope == grad * grad and step == 1.0
 
     def test_fit_with_an_unusable_estimate_runs_along_the_gradient(self, monkeypatch):
-        # Every update returns a negative-definite H, so every search falls back to -g.
-        monkeypatch.setattr(solver, "_bfgs_update", lambda inverse, s, y: -np.eye(s.size))
+        # Every update returns a negative-definite H, so every search falls back to -P g.
+        monkeypatch.setattr(solver, "_bfgs_update", lambda inverse, s, y, scale: -np.eye(s.size))
         events = recorded_searches(monkeypatch)
         dataset, _ = make_realizable(seed=42)
+        dataset = Dataset(dataset.features * [1.0, 4.0, 0.25], dataset.targets)
+        p = plain_scale(dataset)
+        assert max(p) > 10.0 * min(p)
         report = gd_fit(dataset, CS11, np.zeros(3), SolverConfig(max_iters=10))
         groups = searches(events)
         assert len(groups) == report.iterations == 10
         for search in groups:
             w, direction, step, slope = search[0]
             g = plain_gradient(dataset, CS11, w)
-            assert direction.tolist() == g
+            pg = [a * b for a, b in zip(p, g)]
+            assert direction.tolist() == pytest.approx(pg, rel=1e-12)
             assert slope > 0.0
-            polyak = 2.0 * total_loss(Model(w, CS11), dataset) / sum(v * v for v in g)
+            polyak = 2.0 * total_loss(Model(w, CS11), dataset) / sum(a * b for a, b in zip(g, pg))
             assert step == pytest.approx(min(1.0, polyak), rel=1e-12)
         assert np.all(np.diff(report.loss_trace) < 0)
+
+
+class TestColumnScale:
+    """P's diagonal is 1 / ||x_j||^2, or 1 where that is not a finite positive number."""
+
+    def test_entries(self):
+        features = np.column_stack([np.full(4, 2.0), np.zeros(4), np.full(4, 1e155), np.full(4, 1e-160)])
+        scale, squares = solver._column_scale(Dataset(features, np.zeros(4)).features)
+        # (1e155)^2 overflows to inf; 4 * (1e-160)^2 is subnormal, and its inverse overflows.
+        assert squares[0] == 16.0 and squares[1] == 0.0 and squares[2] == math.inf
+        assert scale.tolist() == [1.0 / 16.0, 1.0, 1.0, 1.0]
+
+    def test_zero_column_fit_is_finite_and_optimal(self):
+        # The loss does not depend on the zero column's weight, which stays 0, and H has a zero row there.
+        generated, _ = generate_synthetic(SynthSpec(3000, 4, CS11, 0.05, seed=3))
+        features = np.column_stack([np.zeros(3000), generated.features, np.ones(3000)])
+        dataset = Dataset(features, generated.targets)
+        transform = ConvexSqrtTransform(1.0, 3.0)
+        reports = [gd_fit(dataset, transform, np.zeros(6)), *multi_restart_fit(dataset, transform, 4)]
+        for report in reports:
+            assert report.termination in cli._OPTIMAL
+            assert np.isfinite(report.final_loss) and np.all(np.isfinite(report.final_weights))
+        assert reports[0].final_weights[0] == 0.0
+        reference = gd_fit(with_bias(generated), transform, np.zeros(5))
+        assert reports[0].final_loss == pytest.approx(reference.final_loss, rel=1e-12)
+
+    def test_overflowing_columns_fit_is_finite_and_optimal(self):
+        # ||x_j||^2 overflows for every column, so P = I; alpha = 1e-153 makes alpha x of order 100.
+        rng = np.random.default_rng(8)
+        transform = ConvexSqrtTransform(1e-153, 1.0)
+        features = 1e155 * rng.uniform(-1.0, 1.0, (400, 3))
+        targets = np.clip(transform.evaluate(features @ [0.003, -0.002, 0.001]) + rng.normal(0.0, 0.05, 400), -1, 1)
+        dataset = Dataset(features, targets)
+        assert solver._column_scale(dataset.features)[0].tolist() == [1.0, 1.0, 1.0]
+        report = gd_fit(dataset, transform, np.zeros(3))
+        assert report.termination in cli._OPTIMAL
+        assert np.isfinite(report.final_loss) and np.all(np.isfinite(report.final_weights))
+        assert report.final_grad_norm <= 1e-6 * np.linalg.norm(total_gradient(Model(np.zeros(3), transform), dataset))
 
 
 def with_bias(generated):
@@ -692,6 +745,17 @@ class TestWorkCounts:
         transform = ConvexSqrtTransform(1.0, float(np.abs(dataset.targets).max()))
         reports = multi_restart_fit(dataset, transform, 20)
         assert sum(r.iterations for r in reports) <= 300
+        assert all(r.termination in cli._OPTIMAL for r in reports)
+
+    @pytest.mark.parametrize(
+        "transform, limit", [(ConvexSqrtTransform(1.0, 3.0), 170), (TanhTransform(3.0), 140)], ids=["convex-sqrt", "tanh"]
+    )
+    def test_restarts_start_from_the_column_scale(self, transform, limit):
+        # The benchmark's seed-1 restart data.  From H0 = (s^T y / y^T y) I and a first
+        # search along -g the 20 restarts took 235 iterations (convex-sqrt) and 267 (tanh).
+        dataset = with_bias(generate_synthetic(SynthSpec(10_000, 8, CS11, 0.05, seed=1))[0])
+        reports = multi_restart_fit(dataset, transform, 20, SolverConfig(seed=1))
+        assert sum(r.iterations for r in reports) <= limit
         assert all(r.termination in cli._OPTIMAL for r in reports)
 
     @pytest.mark.filterwarnings("ignore::convexreg.TargetBoundWarning")
