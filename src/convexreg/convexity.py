@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .loss import Dataset, dloss_dz, loss_z, _checked_weights, _evaluate, _gradient
+from .loss import Dataset, dloss_dz, _checked_weights, _evaluate, _gradient
 from .transforms import Transform, _count, _finite_positive
 
 MIDPOINT_TOL = 1e-9
@@ -129,6 +129,18 @@ def midpoint_convexity_check(
     finite, and ValueError when ``n_samples`` is not an integer >= 1 or
     ``seed`` is not an integer >= 0.
     """
+    return _midpoint_reports(transform, [y], z_range, n_samples, seed)[0]
+
+
+def _midpoint_reports(transform: Transform, ys, z_range, n_samples, seed) -> list[ConvexityReport]:
+    """:func:`midpoint_convexity_check` at each target in ``ys``, all from one draw of triples.
+
+    g(z1), g(z2) and g(mid) are evaluated once per triple; each target's
+    report is then bit for bit the one-target check's at that target.  A
+    loss that is not finite raises for the first such triple in draw
+    order, naming the first target in ``ys`` whose loss is not finite
+    there.
+    """
     lo, hi = float(z_range[0]), float(z_range[1])
     # The width bounds the draws: uniform(lo, hi) needs hi - lo finite.
     if not (lo < hi and np.isfinite(hi - lo)):
@@ -157,48 +169,53 @@ def midpoint_convexity_check(
             np.random.Generator(np.random.PCG64(seed).advance(offset + starts[k]))
             for offset in (0, n_samples, 2 * n_samples)
         )
-        first_worst = None
+        first_worst = [None] * len(ys)
         for start in range(starts[k], starts[k + 1], _CHUNK):
             if stopped.is_set():
                 return None
             size = min(_CHUNK, n_samples - start)
             z1, z2 = z1_rng.uniform(lo, hi, size), z2_rng.uniform(lo, hi, size)
             lam = lam_rng.uniform(0.0, 1.0, size)
-            # The one-pass formulas lam*z1 + (1-lam)*z2 and
-            # (lam*l1 + (1-lam)*l2 - lmid) / scale, in the same order of
-            # operations.  mid is overwritten by the scale and l1 by the slack;
-            # no second name holds an array into the next chunk, whose arrays
-            # replace these one by one.
             with np.errstate(**chunk_errors):
-                l1 = loss_z(transform, z1, y)
-                l2 = loss_z(transform, z2, y)
+                g1 = transform.evaluate(z1)
+                g2 = transform.evaluate(z2)
+                # lam*z1 + (1-lam)*z2 in the one-pass order of operations.  mid
+                # then holds each target's scale in turn; no second name holds
+                # an array into the next chunk, whose arrays replace these one
+                # by one.
                 mu = 1.0 - lam
                 mid = lam * z1
                 mid += mu * z2
-                lmid = loss_z(transform, mid, y)
-                np.maximum(l1, l2, out=mid)
-                np.maximum(mid, lmid, out=mid)
-                mid += 1.0
-                # np.maximum propagates nan: the scale is finite iff the three
-                # losses are, and then no slack is nan.
-                finite = np.isfinite(mid)
-                if not finite.all():
-                    i = int(np.argmin(finite))
+                gmid = transform.evaluate(mid)
+                failure = None
+                for t, y in enumerate(ys):
+                    slack = _chord_slack(g1, g2, gmid, lam, mu, y, out=mid)
+                    # np.maximum propagates nan: the scale is finite iff the
+                    # three losses are, and then no slack is nan.
+                    finite = np.isfinite(mid)
+                    if not finite.all():
+                        i = int(np.argmin(finite))
+                        # Strictly below: at one triple the earlier target is named.
+                        if failure is None or i < failure[0]:
+                            failure = i, y
+                    else:
+                        idx = int(np.argmin(slack))
+                        # Strictly below: a tie keeps the earlier triple, as one argmin would.
+                        if first_worst[t] is None or slack[idx] < first_worst[t][0]:
+                            first_worst[t] = float(slack[idx]), (float(z1[idx]), float(z2[idx]), float(lam[idx]))
+                    # Freed before the next target's losses and the next chunk's
+                    # draws, so a chunk holds at most ten arrays at once.
+                    del slack
+                if failure is not None:
+                    i, y = failure
+                    # Each loss as _chord_slack squares it, g(z) - y times itself.
+                    losses = ", ".join(repr(float((g[i] - y) * (g[i] - y))) for g in (g1, g2, gmid))
                     raise NonFiniteCheckError(
                         f"the loss is not finite at sampled triple {start + i} of {n_samples} "
                         f"for y = {float(y)!r}: "
                         f"(z1, z2, lam) = ({float(z1[i])!r}, {float(z2[i])!r}, {float(lam[i])!r}) gives "
-                        f"losses ({float(l1[i])!r}, {float(l2[i])!r}, {float(lmid[i])!r})"
+                        f"losses ({losses})"
                     )
-                l1 *= lam
-                l2 *= mu
-                l1 += l2
-                l1 -= lmid
-                l1 /= mid
-            idx = int(np.argmin(l1))
-            # Strictly below: a tie keeps the earlier triple, as one argmin would.
-            if first_worst is None or l1[idx] < first_worst[0]:
-                first_worst = float(l1[idx]), (float(z1[idx]), float(z2[idx]), float(lam[idx]))
         return first_worst
 
     # Imported here: the pool, and the logging it loads, serve only this check.
@@ -222,16 +239,46 @@ def midpoint_convexity_check(
         for thread in threading.enumerate():
             if thread.name.startswith(prefix + "_") and thread.is_alive():
                 thread.join()
-    # min keeps the first of equal slacks: across ranges, too, a tie goes to
-    # the earlier triple.
-    worst, witness = min(ranges, key=lambda pair: pair[0])
-    return ConvexityReport(
-        check_name="midpoint_convexity",
-        passed=worst >= -MIDPOINT_TOL,
-        worst_violation=worst,
-        witness=witness,
-        samples_tested=n_samples,
-    )
+    reports = []
+    for t in range(len(ys)):
+        # min keeps the first of equal slacks: across ranges, too, a tie goes to
+        # the earlier triple.
+        worst, witness = min((worsts[t] for worsts in ranges), key=lambda pair: pair[0])
+        reports.append(
+            ConvexityReport(
+                check_name="midpoint_convexity",
+                passed=worst >= -MIDPOINT_TOL,
+                worst_violation=worst,
+                witness=witness,
+                samples_tested=n_samples,
+            )
+        )
+    return reports
+
+
+def _chord_slack(g1, g2, gmid, lam, mu, y, *, out):
+    """``(lam*l1 + (1-lam)*l2 - lmid) / out`` with ``out`` set to ``1 + max(l1, l2, lmid)``.
+
+    Each loss is :func:`~convexreg.loss.loss_z`'s ``g(z) - y``, squared in
+    place, and the slack takes the one-pass formula's order of operations.
+    l2's array receives lmid once l2 is spent, so the three losses take
+    two new arrays, and the returned slack is one of them.
+    """
+    l1 = g1 - y
+    l1 *= l1
+    l2 = g2 - y
+    l2 *= l2
+    np.maximum(l1, l2, out=out)
+    l1 *= lam
+    l2 *= mu
+    l1 += l2
+    lmid = np.subtract(gmid, y, out=l2)
+    lmid *= lmid
+    np.maximum(out, lmid, out=out)
+    out += 1.0
+    l1 -= lmid
+    l1 /= out
+    return l1
 
 
 def derivative_monotonicity_check(transform: Transform, y: float, z_grid) -> ConvexityReport:
@@ -395,7 +442,13 @@ def verification_battery(
     a finite-difference Hessian check on a small synthetic dataset at
     three random weight vectors, and a grid search for a pointwise
     curvature counterexample (exact for convex-sqrt, so no derivative-
-    monotonicity check).  Deterministic for a given seed.  Raises
+    monotonicity check).  The five midpoint checks judge one draw of
+    ``n_samples`` triples, the one ``midpoint_convexity_check(..., seed=seed)``
+    makes, so g is evaluated three times per triple, not fifteen; each
+    entry is bit for bit that check's report at its target.  A loss that
+    is not finite raises for the first such triple, naming the first of
+    the five targets whose loss is not finite there.  Deterministic for a
+    given seed.  Raises
     NonFiniteCheckError when any check meets a value that is not finite,
     and ValueError when ``seed`` is not an integer >= 0.
     """
@@ -404,8 +457,8 @@ def verification_battery(
     reports: list[ConvexityReport] = []
     y_values = [-y_bound, -0.5 * y_bound, 0.0, 0.5 * y_bound, y_bound]
 
-    for offset, y in enumerate(y_values):
-        report = midpoint_convexity_check(transform, y, (-100.0, 100.0), n_samples, seed=seed + offset)
+    midpoints = _midpoint_reports(transform, y_values, (-100.0, 100.0), n_samples, seed)
+    for y, report in zip(y_values, midpoints):
         reports.append(replace(report, check_name=f"midpoint_convexity(y={y:g})"))
 
     rng = np.random.default_rng(seed)

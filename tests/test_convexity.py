@@ -1,6 +1,7 @@
 """Tests for the convexity certification lab."""
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +137,12 @@ def draw_triples(rng, z_range, n_samples):
 
 def one_shot_midpoint(transform, y, z_range, n_samples, rng, tol=1e-9):
     """The chord-inequality check with every triple drawn and judged in one pass."""
-    z1, z2, lam = draw_triples(rng, z_range, n_samples)
+    return judge_triples(transform, y, *draw_triples(rng, z_range, n_samples), tol)
+
+
+def judge_triples(transform, y, z1, z2, lam, tol=1e-9):
+    """The one-pass chord-inequality report at target y over the drawn triples."""
+    n_samples = z1.size
     l1 = loss_z(transform, z1, y)
     l2 = loss_z(transform, z2, y)
     lmid = loss_z(transform, lam * z1 + (1.0 - lam) * z2, y)
@@ -964,6 +971,98 @@ class TestVerificationBattery:
         a = verification_battery(CS11, 1.0, np.int64(2000), seed=4)
         b = verification_battery(CS11, 1.0, 2000, seed=4)
         assert repr([r.to_dict() for r in a]) == repr([r.to_dict() for r in b])
+
+
+# Every target's loss at a spike of -OVERFLOW_ALL (-OVERFLOW_TOP) overflows for
+# y > 0 (y = Y) of the battery at Y = 1e140, and no other target's does.
+BIG_Y = 1e140
+OVERFLOW_ALL = 1.3407807929942596e154  # the largest double whose square is finite
+OVERFLOW_TOP = OVERFLOW_ALL - 0.75 * BIG_Y
+
+
+class CountingTransform:
+    """tanh that counts the points at which g is evaluated."""
+
+    def __init__(self):
+        self.inner = TanhTransform(1.0)
+        self.evaluated = 0
+
+    def evaluate(self, z):
+        self.evaluated += np.size(z)
+        return self.inner.evaluate(z)
+
+    def _value_and_derivative(self, z):
+        return self.inner._value_and_derivative(z)
+
+    def curvature(self, z, y):
+        return self.inner.curvature(z, y)
+
+
+class TestBatteryMidpoints:
+    """The battery judges its five midpoint targets on one draw of triples."""
+
+    @pytest.fixture(autouse=True)
+    def no_stray_threads(self):
+        before = threading.enumerate()
+        yield
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("cores", CORES)
+    @pytest.mark.parametrize("n_samples", [1, _CHUNK - 1, _CHUNK + 1, 3 * _CHUNK + 7])
+    @pytest.mark.parametrize(
+        "transform", [CS11, TanhTransform(1.5), AFF], ids=["convex-sqrt", "tanh", "affine"]
+    )
+    def test_each_entry_equals_a_one_shot_reference(self, pin_cores, transform, n_samples, cores):
+        pin_cores(cores)
+        seed, y_bound = 5, 1.5
+        checks = verification_battery(transform, y_bound, n_samples, seed=seed)
+        ys = [-y_bound, -0.5 * y_bound, 0.0, 0.5 * y_bound, y_bound]
+        triples = draw_triples(np.random.default_rng(seed), (-100.0, 100.0), n_samples)
+        for check, y in zip(checks, ys):
+            reference = judge_triples(transform, y, *triples)
+            assert repr(check.to_dict()) == repr(replace(reference, check_name=check.check_name).to_dict())
+        # The y = -Y entry is the one-target check at the battery's seed.
+        single = midpoint_convexity_check(transform, -y_bound, (-100.0, 100.0), n_samples, seed=seed)
+        assert repr(checks[0].to_dict()) == repr(replace(single, check_name=checks[0].check_name).to_dict())
+
+    def test_g_is_evaluated_three_times_per_triple(self, pin_cores):
+        pin_cores(1)
+        transform = CountingTransform()
+        verification_battery(transform, 1.0, 3 * _CHUNK + 7, seed=2)
+        assert transform.evaluated == 3 * (3 * _CHUNK + 7)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spikes, index, y",
+        [
+            ({_CHUNK + 20: -OVERFLOW_ALL}, _CHUNK + 20, 0.5 * BIG_Y),
+            # Two triples fail: the earlier one is named, whichever its targets,
+            # in one chunk and across chunks and ranges.
+            ({_CHUNK + 20: -OVERFLOW_ALL, _CHUNK + 30: -OVERFLOW_TOP}, _CHUNK + 20, 0.5 * BIG_Y),
+            ({_CHUNK + 20: -OVERFLOW_TOP, _CHUNK + 30: -OVERFLOW_ALL}, _CHUNK + 20, BIG_Y),
+            ({_CHUNK + 20: -OVERFLOW_TOP, 3 * _CHUNK + 3: -OVERFLOW_ALL}, _CHUNK + 20, BIG_Y),
+            ({10: -OVERFLOW_TOP, 4 * _CHUNK + 3: -OVERFLOW_ALL}, 10, BIG_Y),
+        ],
+        ids=["one-triple", "earlier-at-both", "earlier-at-the-top", "later-chunk", "first-and-last-range"],
+    )
+    @pytest.mark.parametrize("cores", CORES)
+    def test_first_triple_and_first_target_with_a_non_finite_loss(self, pin_cores, spikes, index, y, cores):
+        pin_cores(cores)
+        n_samples = 4 * _CHUNK + 5
+        mid = midpoints(11, n_samples)
+        transform = SpikedTransform({mid[i]: value for i, value in spikes.items()})
+        # g is 0 at z1 and z2, so their losses are y^2.
+        message = f"the loss is not finite at sampled triple {index} of {n_samples} for y = {y!r}:"
+        with pytest.raises(NonFiniteCheckError, match=re.escape(message)) as info:
+            verification_battery(transform, BIG_Y, n_samples, seed=11)
+        assert str(info.value).endswith(f"gives losses ({y * y!r}, {y * y!r}, inf)")
+
+    def test_stub_overflows_only_above_zero(self):
+        with np.errstate(over="ignore"):
+            for value, first in ((-OVERFLOW_ALL, 3), (-OVERFLOW_TOP, 4)):
+                ys = [-BIG_Y, -0.5 * BIG_Y, 0.0, 0.5 * BIG_Y, BIG_Y]
+                finite = [bool(np.isfinite(loss_z(AFF, value, y))) for y in ys]
+                assert finite == [True] * first + [False] * (5 - first)
 
 
 class TestReportRendering:
